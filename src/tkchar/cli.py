@@ -5,7 +5,8 @@ or SVG serialization of the incidence graph), rep (build explicit matrices
 and print characters), verify (run the sampling oracle and report).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The
-environment variable TKCHAR_TOL overrides the global numerical tolerance.
+environment variable TKCHAR_TOL overrides the global numerical tolerance;
+it must be a finite number > 0.
 All randomness is seeded; every subcommand is byte-deterministic given its
 flags.
 """
@@ -13,6 +14,7 @@ flags.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -178,6 +180,9 @@ def main(argv: list[str] | None = None) -> int:
         tol = float(raw_tol) if raw_tol is not None else DEFAULT_TOL
     except ValueError:
         print(f"error: TKCHAR_TOL must be a number, got {raw_tol!r}", file=sys.stderr)
+        return 2
+    if not (math.isfinite(tol) and tol > 0.0):
+        print(f"error: TKCHAR_TOL must be finite and > 0, got {raw_tol!r}", file=sys.stderr)
         return 2
     try:
         return args.func(args, tol)

@@ -41,7 +41,7 @@ from .components import (
     self_paired,
     xi_root,
 )
-from .roots import RootOfUnity, crt_attachment, root
+from .roots import RootOfUnity, root
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,14 +132,8 @@ def build_graph(p: GroupParams) -> IncidenceGraph:
         lam = root(comp.k, p.m)
         mu = root(comp.kp, p.n)
         i0_raw, i1_raw, _, _ = attachment(p, comp.k, comp.kp)
-        if p.d == 1:
-            t0 = crt_attachment(comp.k, p.m, comp.kp, p.n)
-            t1 = crt_attachment(comp.k, p.m, 2 * p.n - comp.kp, p.n)
-        else:
-            t0 = red_coordinate(p, i0_raw, lam, mu)
-            t1 = red_coordinate(p, i1_raw, lam, mu.conj())
-        ep0 = _attachment_from_raw(p, i0_raw, t0)
-        ep1 = _attachment_from_raw(p, i1_raw, t1)
+        ep0 = _attachment_from_raw(p, i0_raw, red_coordinate(p, i0_raw, lam, mu))
+        ep1 = _attachment_from_raw(p, i1_raw, red_coordinate(p, i1_raw, lam, mu.conj()))
         if ep0.node == ep1.node and ep0.t_canonical == ep1.t_canonical:
             raise RuntimeError(f"arc {comp} has coincident endpoints; invariant violated")
         arcs.append(Arc(comp, (ep0, ep1)))
@@ -214,7 +208,7 @@ def to_json(g: IncidenceGraph) -> str:
             for arc in g.arcs
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def to_dot(g: IncidenceGraph) -> str:

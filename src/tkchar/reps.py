@@ -16,17 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .components import ComponentId, GroupParams, Irr, Red, _check_irr_label, alpha_root
+from .components import GroupParams, _check_irr_label, alpha_root
 from .roots import root
 from .su2 import (
     DEFAULT_TOL,
     DegenerateError,
-    Mat2,
     UnitaryMatrix,
     eigen_decompose,
     cross_ratio,
     is_reducible_pair,
-    mat_mul,
     mat_pow,
     trace,
 )
@@ -93,30 +91,22 @@ class Word:
 DEFAULT_WORDS: tuple[Word, ...] = tuple(Word.parse(s) for s in ("x", "y", "xy", "xY", "xyXY"))
 
 
-def evaluate_word(word: Word, a: Mat2, b: Mat2) -> Mat2:
+def evaluate_word(word: Word, a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
     gens = {"x": a, "y": b}
-    result: Mat2 | None = None
+    result: UnitaryMatrix | None = None
     for gen, exp in word.letters:
         factor = mat_pow(gens[gen], exp)
-        result = factor if result is None else mat_mul(result, factor)
+        result = factor if result is None else result @ factor
     return a.identity() if result is None else result
 
 
-def character(a: Mat2, b: Mat2, words: tuple[Word, ...] = DEFAULT_WORDS) -> list[complex]:
+def character(
+    a: UnitaryMatrix, b: UnitaryMatrix, words: tuple[Word, ...] = DEFAULT_WORDS
+) -> list[complex]:
     """Traces of the given words at the representation (a, b)."""
     if not words:
         raise ValueError("empty word list")
     return [trace(evaluate_word(w, a, b)) for w in words]
-
-
-@dataclass(frozen=True, slots=True)
-class RepPoint:
-    """A point of the variety: component id plus the intrinsic coordinate
-    (t in (0,1) for irreducible components, a unit complex number for
-    reducible ones, read against the component's canonical index)."""
-
-    component: ComponentId
-    coordinate: float | complex
 
 
 def build_irr(p: GroupParams, k: int, kp: int, t: float) -> tuple[UnitaryMatrix, UnitaryMatrix]:
@@ -147,19 +137,6 @@ def build_red_noncoprime(p: GroupParams, i: int, t: complex) -> tuple[UnitaryMat
     lam = t ** p.b
     mu = alpha_root(p, i).conj().to_complex() * t ** p.a
     return UnitaryMatrix(lam, 0.0j), UnitaryMatrix(mu, 0.0j)
-
-
-def build_red_coprime(p: GroupParams, t: complex) -> tuple[UnitaryMatrix, UnitaryMatrix]:
-    """Diagonal representation for coprime orders: x -> diag(t^n, .), y -> diag(t^m, .)."""
-    if p.d != 1:
-        raise ValueError(f"orders are not coprime (d={p.d}); use build_red_noncoprime")
-    return build_red_noncoprime(p, 0, t)
-
-
-def build_point(p: GroupParams, point: RepPoint) -> tuple[UnitaryMatrix, UnitaryMatrix]:
-    if isinstance(point.component, Irr):
-        return build_irr(p, point.component.k, point.component.kp, float(point.coordinate))
-    return build_red_noncoprime(p, point.component.i, complex(point.coordinate))
 
 
 def cross_ratio_of_pair(a: UnitaryMatrix, b: UnitaryMatrix, tol: float = DEFAULT_TOL) -> float:

@@ -71,26 +71,3 @@ def root(c: int, n: int) -> RootOfUnity:
     """exp(i*pi*c/n) in canonical form."""
     return RootOfUnity(c, n)
 
-
-def crt_attachment(k: int, m: int, k2: int, n: int) -> RootOfUnity:
-    """The unique t on the circle with t**n == root(k, m) and t**m == root(k2, n).
-
-    Requires gcd(m, n) == 1.  Writing t = exp(i*pi*c/(m*n)), the two power
-    equations say c == k (mod 2m) and c == k2 (mod 2n); since gcd(2m, 2n) == 2
-    a solution exists iff k and k2 have the same parity, and it is then
-    unique mod 2mn.  Solved by the extended Euclidean algorithm (a brute
-    force scan over [0, 2mn) is kept as an oracle in the test suite).
-
-    k and k2 are taken mod 2m and 2n, so a caller wanting the equation
-    t**m == root(k2, n)**-1 passes 2n - k2.
-    """
-    if m < 1 or n < 1:
-        raise ValueError(f"orders must be positive, got m={m}, n={n}")
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"m={m} and n={n} are not coprime; use the general circle coordinate")
-    if (k - k2) % 2 != 0:
-        raise ValueError(f"no solution: k={k} and k2={k2} have different parities")
-    # c = k + 2m*s with m*s == (k2-k)/2 (mod n)
-    s = ((k2 - k) // 2 * pow(m, -1, n)) % n if n > 1 else 0
-    c = (k + 2 * m * s) % (2 * m * n)
-    return RootOfUnity(c, m * n)

@@ -1,4 +1,4 @@
-"""2x2 matrix kernel: SU(2) in quaternion form, SL(2,C), eigen pairs,
+"""The package's matrix kernel: SU(2) in quaternion form, eigen pairs,
 the commutator-trace reducibility test and the projective cross-ratio.
 
 An SU(2) element is stored as the unit quaternion (a, b), the matrix being
@@ -56,45 +56,6 @@ class UnitaryMatrix:
         return np.array([[e[0], e[1]], [e[2], e[3]]], dtype=complex)
 
 
-@dataclass(frozen=True, slots=True)
-class SpecialLinearMatrix:
-    """General SL(2,C) element; determinant 1 is validated on construction."""
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    def __post_init__(self) -> None:
-        det = self.m11 * self.m22 - self.m12 * self.m21
-        if abs(det - 1.0) > 1e-8:
-            raise ValueError(f"determinant {det} is not 1")
-
-    @classmethod
-    def identity(cls) -> "SpecialLinearMatrix":
-        return cls(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-
-    def inv(self) -> "SpecialLinearMatrix":
-        return SpecialLinearMatrix(self.m22, -self.m12, -self.m21, self.m11)
-
-    def __matmul__(self, other: "SpecialLinearMatrix") -> "SpecialLinearMatrix":
-        return SpecialLinearMatrix(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def entries(self) -> tuple[complex, complex, complex, complex]:
-        return (self.m11, self.m12, self.m21, self.m22)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=complex)
-
-
-Mat2 = UnitaryMatrix | SpecialLinearMatrix
-
-
 def from_quaternion(a: complex, b: complex) -> UnitaryMatrix:
     """Build an SU(2) element from a quaternion, normalizing the length.
 
@@ -107,20 +68,7 @@ def from_quaternion(a: complex, b: complex) -> UnitaryMatrix:
     return UnitaryMatrix(complex(a) / nrm, complex(b) / nrm)
 
 
-def to_special_linear(x: Mat2) -> SpecialLinearMatrix:
-    if isinstance(x, SpecialLinearMatrix):
-        return x
-    e = x.entries()
-    return SpecialLinearMatrix(*e)
-
-
-def mat_mul(x: Mat2, y: Mat2) -> Mat2:
-    if isinstance(x, UnitaryMatrix) and isinstance(y, UnitaryMatrix):
-        return x @ y
-    return to_special_linear(x) @ to_special_linear(y)
-
-
-def mat_pow(x: Mat2, k: int) -> Mat2:
+def mat_pow(x: UnitaryMatrix, k: int) -> UnitaryMatrix:
     """x**k by binary exponentiation; negative k inverts first."""
     if k < 0:
         x, k = x.inv(), -k
@@ -128,28 +76,26 @@ def mat_pow(x: Mat2, k: int) -> Mat2:
     base = x
     while k:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = result @ base
+        base = base @ base
         k >>= 1
     return result
 
 
-def trace(x: Mat2) -> complex:
-    if isinstance(x, UnitaryMatrix):
-        return complex(2.0 * x.a.real, 0.0)
-    return x.m11 + x.m22
+def trace(x: UnitaryMatrix) -> complex:
+    return complex(2.0 * x.a.real, 0.0)
 
 
-def conjugate_by(x: Mat2, p: Mat2) -> Mat2:
+def conjugate_by(x: UnitaryMatrix, p: UnitaryMatrix) -> UnitaryMatrix:
     """p x p^-1."""
-    return mat_mul(mat_mul(p, x), p.inv())
+    return p @ x @ p.inv()
 
 
-def commutator_trace(a: Mat2, b: Mat2) -> complex:
-    return trace(mat_mul(mat_mul(a, b), mat_mul(a.inv(), b.inv())))
+def commutator_trace(a: UnitaryMatrix, b: UnitaryMatrix) -> complex:
+    return trace((a @ b) @ (a.inv() @ b.inv()))
 
 
-def is_reducible_pair(a: Mat2, b: Mat2, tol: float = DEFAULT_TOL) -> bool:
+def is_reducible_pair(a: UnitaryMatrix, b: UnitaryMatrix, tol: float = DEFAULT_TOL) -> bool:
     """A pair generates a reducible representation iff tr[a,b] == 2.
 
     For SU(2) pairs this is equivalent to sharing an eigenvector (the common
@@ -158,7 +104,7 @@ def is_reducible_pair(a: Mat2, b: Mat2, tol: float = DEFAULT_TOL) -> bool:
     return abs(commutator_trace(a, b) - 2.0) <= tol
 
 
-def sup_diff(x: Mat2, y: Mat2) -> float:
+def sup_diff(x: UnitaryMatrix, y: UnitaryMatrix) -> float:
     """Entrywise sup-norm distance between two 2x2 matrices."""
     return max(abs(u - v) for u, v in zip(x.entries(), y.entries()))
 
@@ -181,11 +127,6 @@ class ProjectivePoint:
 def proj_gap(p: ProjectivePoint, q: ProjectivePoint) -> float:
     """Sine of the angle between the two lines; zero iff p == q projectively."""
     return abs(p.x * q.y - q.x * p.y) / (p.norm() * q.norm())
-
-
-def apply_matrix(m: Mat2, p: ProjectivePoint) -> ProjectivePoint:
-    e = m.entries()
-    return ProjectivePoint(e[0] * p.x + e[1] * p.y, e[2] * p.x + e[3] * p.y)
 
 
 def eigen_decompose(

@@ -21,9 +21,10 @@ the component labels xi^i and folded to canonical form.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,16 +40,8 @@ from .components import (
     fold_index,
     self_paired,
 )
-from .graph import build_graph, involution_twist
-from .reps import (
-    DEFAULT_WORDS,
-    Word,
-    build_irr,
-    build_red_noncoprime,
-    character,
-    cross_ratio_of_pair,
-    evaluate_word,
-)
+from .graph import _sig12, build_graph, involution_twist
+from .reps import build_irr, build_red_noncoprime, character, cross_ratio_of_pair
 from .su2 import (
     DEFAULT_TOL,
     DegenerateError,
@@ -79,7 +72,6 @@ class SampleConfig:
     sample_count: int = 1000
     seed: int = 0
     reducible_fraction: float = 0.25
-    word_list: tuple[Word, ...] = DEFAULT_WORDS
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
@@ -294,29 +286,14 @@ def component_key(comp: ComponentId) -> str:
     return f"irr:{comp.k},{comp.kp}"
 
 
-def _reducible_char_grid(
-    p: GroupParams, words: tuple[Word, ...], size: int = 1024
-) -> tuple[np.ndarray, np.ndarray]:
-    """Characters of diagonal representations on a dense grid of every raw
-    circle; rows are (raw index * size + angle index), columns are words."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, size, endpoint=False)
-    exps = [w.exponent_sums() for w in words]
-    rows = np.empty((p.d * size, len(words)))
-    for i in range(p.d):
-        shift = alpha_root(p, i).angle
-        lam_ang = p.b * thetas
-        mu_ang = p.a * thetas - shift
-        for col, (px, py) in enumerate(exps):
-            rows[i * size : (i + 1) * size, col] = 2.0 * np.cos(px * lam_ang + py * mu_ang)
-    return rows, thetas
-
-
 def empirical_structure(cfg: SampleConfig) -> dict:
     """Sample, classify, and compare observed structure with the exact graph.
 
-    Near-limit irreducible samples (t < 0.02 or t > 0.98) are matched to the
-    nearest reducible character on a dense grid to reconstruct the arc
-    endpoints empirically; agreement with build_graph is reported per arc.
+    Near-limit irreducible samples (t < 0.02 or t > 0.98) vote for the
+    reducible component they approach: their eigenvalue pair on a shared
+    eigenline goes through the same decoder classify uses for reducible
+    pairs.  The votes reconstruct the arc endpoints empirically; agreement
+    with build_graph is reported per arc.
     """
     p = cfg.params
     g = build_graph(p)
@@ -324,8 +301,6 @@ def empirical_structure(cfg: SampleConfig) -> dict:
         [component_key(info.id) for info in enumerate_red(p)]
         + [component_key(c) for c in enumerate_irr(p)]
     )
-    grid, _ = _reducible_char_grid(p, cfg.word_list)
-    grid_size = grid.shape[0] // p.d
 
     counts: Counter[str] = Counter()
     votes: dict[tuple[int, int], list[Counter]] = {
@@ -348,9 +323,8 @@ def empirical_structure(cfg: SampleConfig) -> dict:
         comp = point.component
         if isinstance(comp, Irr) and not 0.02 <= point.coordinate <= 0.98:
             side = 0 if point.coordinate < 0.02 else 1
-            vec = np.array([trace(evaluate_word(w, a, b)).real for w in cfg.word_list])
-            nearest = int(np.argmin(((grid - vec) ** 2).sum(axis=1)))
-            votes[(comp.k, comp.kp)][side][fold_index(nearest // grid_size, p.d)] += 1
+            node = _decode_red_eigenvalues(p, *_common_eigenvalues(a, b, cfg.tol))[0]
+            votes[(comp.k, comp.kp)][side][node] += 1
 
     adjacency = []
     adjacency_ok = True
@@ -405,7 +379,7 @@ def _round_floats(obj):
     if isinstance(obj, bool) or isinstance(obj, int) or isinstance(obj, str) or obj is None:
         return obj
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return _sig12(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -416,6 +390,4 @@ def _round_floats(obj):
 def summary_to_json(summary: dict) -> str:
     """Deterministic "tkchar-verify/1" serialization (sorted keys, 12
     significant digits on every float)."""
-    import json
-
-    return json.dumps(_round_floats(summary), indent=2, sort_keys=True)
+    return json.dumps(_round_floats(summary), indent=2, sort_keys=True, allow_nan=False)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -153,6 +154,37 @@ class TestVerify:
     def test_bad_sample_count(self, capsys):
         code, _, _ = run(capsys, "verify", "-m", "3", "-n", "2", "-N", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1", "0"])
+    def test_non_positive_or_non_finite_tolerance_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("TKCHAR_TOL", raw)
+        code, out, err = run(capsys, "verify", "-m", "3", "-n", "2", "-N", "10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "TKCHAR_TOL" in err
+
+
+# sha256 of stdout, recorded before the SU(2)-only kernel refactor; any
+# change to these documents has to be deliberate and explained.
+GOLDEN_SHA256 = {
+    ("graph", "-m", "6", "-n", "9", "--format", "json"):
+        "34c02b4b66400dae01daab97d329ce7598a539ab1886c9d23bd6ba2794b24752",
+    ("graph", "-m", "6", "-n", "9", "--format", "dot"):
+        "0604d0c2f53f35c81490844e4a58bd3c051e16e2e537dcc2115ba1aec05eef68",
+    ("graph", "-m", "6", "-n", "9", "--format", "svg"):
+        "00d3e3c914212d277872805aa4fb95c035cfc5490f755ab01802de56b3252ba1",
+    ("graph", "-m", "5", "-n", "3", "--format", "json"):
+        "ab83da8474bf16e1365543b859b6d6fe2bb28a7a310413d6ddaf1393307a2710",
+    ("verify", "-m", "4", "-n", "6", "-N", "2000", "--seed", "7"):
+        "26cbfeef8f48689e762ec40b6632f796b0f3845b49a9530e24611de168dad3ac",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256), ids=" ".join)
+def test_golden_output_bytes(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[argv]
 
 
 class TestPlumbing:

@@ -26,7 +26,7 @@ from tkchar.graph import (
     to_json,
     to_svg_schematic,
 )
-from tkchar.roots import ONE, crt_attachment, root
+from tkchar.roots import ONE, root
 
 
 def brute_force_endpoint(k, m, k2, n):
@@ -116,11 +116,13 @@ class TestExactness:
                     assert ep.s_real == pytest.approx(s, abs=1e-14)
 
     def test_coprime_general_path_agrees_with_crt(self):
+        # for coprime orders the endpoint is the Chinese-remainder solution,
+        # found here by the independent scan
         for m, n in [(3, 2), (5, 3), (7, 4), (8, 3), (9, 2)]:
             p = GroupParams(m, n)
             for comp in enumerate_irr(p):
                 lam, mu = root(comp.k, m), root(comp.kp, n)
-                assert red_coordinate(p, 0, lam, mu) == crt_attachment(comp.k, m, comp.kp, n)
+                assert red_coordinate(p, 0, lam, mu) == brute_force_endpoint(comp.k, m, comp.kp, n)
 
     def test_red_coordinate_membership_validated(self):
         p = GroupParams(6, 9)

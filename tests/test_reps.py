@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tkchar.components import GroupParams, Irr, Red, enumerate_irr
+from tkchar.components import GroupParams, enumerate_irr
 from tkchar.reps import (
     DEFAULT_WORDS,
-    RepPoint,
     Word,
     build_irr,
-    build_point,
-    build_red_coprime,
     build_red_noncoprime,
     character,
     cross_ratio_of_pair,
@@ -179,13 +176,13 @@ class TestBuildRed:
 
     def test_frozen_angle_example(self):
         p = GroupParams(3, 2)
-        a, b = build_red_coprime(p, cmath.exp(1j * math.pi / 12))
+        a, b = build_red_noncoprime(p, 0, cmath.exp(1j * math.pi / 12))
         assert trace(a).real == pytest.approx(math.sqrt(3), abs=1e-14)  # 2cos(pi/6)
         assert trace(b).real == pytest.approx(math.sqrt(2), abs=1e-14)  # 2cos(pi/4)
 
     def test_minus_one_coordinate(self):
         p = GroupParams(3, 2)
-        a, b = build_red_coprime(p, -1.0 + 0j)
+        a, b = build_red_noncoprime(p, 0, -1.0 + 0j)
         assert sup_diff(a, UnitaryMatrix.identity()) < 1e-15             # (-1)^2
         assert sup_diff(b, UnitaryMatrix(-1.0 + 0j, 0j)) < 1e-15         # (-1)^3
 
@@ -202,16 +199,12 @@ class TestBuildRed:
     def test_unit_circle_enforced(self):
         p = GroupParams(3, 2)
         with pytest.raises(ValueError):
-            build_red_coprime(p, 0.5 + 0j)
+            build_red_noncoprime(p, 0, 0.5 + 0j)
 
     def test_index_range_enforced(self):
         p = GroupParams(4, 6)
         with pytest.raises(ValueError):
             build_red_noncoprime(p, 2, 1j)
-
-    def test_coprime_guard(self):
-        with pytest.raises(ValueError):
-            build_red_coprime(GroupParams(4, 6), 1j)
 
     def test_reducible_pairs_flagged(self):
         p = GroupParams(6, 9)
@@ -219,15 +212,3 @@ class TestBuildRed:
         assert is_reducible_pair(a, b)
         with pytest.raises(DegenerateError):
             cross_ratio_of_pair(a, b)
-
-
-class TestBuildPoint:
-    def test_dispatch(self):
-        p = GroupParams(4, 6)
-        a1, b1 = build_point(p, RepPoint(Irr(2, 2), 0.3))
-        a2, b2 = build_irr(p, 2, 2, 0.3)
-        assert sup_diff(a1, a2) == 0.0 and sup_diff(b1, b2) == 0.0
-        t = cmath.exp(0.4j)
-        a3, b3 = build_point(p, RepPoint(Red(1), t))
-        a4, b4 = build_red_noncoprime(p, 1, t)
-        assert sup_diff(a3, a4) == 0.0 and sup_diff(b3, b4) == 0.0

@@ -6,12 +6,22 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from tkchar.roots import MINUS_ONE, ONE, RootOfUnity, crt_attachment, root
+from tkchar.components import GroupParams
+from tkchar.graph import red_coordinate
+from tkchar.roots import MINUS_ONE, ONE, RootOfUnity, root
+
+
+def coprime_endpoint(k: int, m: int, k2: int, n: int) -> RootOfUnity:
+    """The t with t^n = exp(i*pi*k/m) and t^m = exp(i*pi*k2/n) for coprime
+    m, n: writing t = exp(i*pi*c/(m*n)), the Chinese-remainder solution of
+    c = k (mod 2m), c = k2 (mod 2n), which is the exact circle coordinate on
+    the single reducible component."""
+    return red_coordinate(GroupParams(m, n), 0, root(k, m), root(k2, n))
 
 
 def brute_force_crt(k: int, m: int, k2: int, n: int) -> RootOfUnity:
     """Scan all exp(i*pi*c/(m*n)) for the one with t^n = exp(i*pi*k/m) and
-    t^m = exp(i*pi*k2/n); the independent oracle for crt_attachment."""
+    t^m = exp(i*pi*k2/n); the independent oracle for coprime_endpoint."""
     target_a = root(k, m)
     target_b = root(k2, n)
     hits = [
@@ -109,22 +119,20 @@ def test_canonical_form_is_stable(c, n):
 
 
 class TestCrtAttachment:
+    """Coprime endpoints through the general circle coordinate of the graph layer."""
+
     def test_first_example(self):
-        assert crt_attachment(1, 3, 1, 2) == root(1, 6)
+        assert coprime_endpoint(1, 3, 1, 2) == root(1, 6)
 
     def test_inverse_endpoint_example(self):
-        assert crt_attachment(1, 3, 3, 2) == root(7, 6)
+        assert coprime_endpoint(1, 3, 3, 2) == root(7, 6)
 
     def test_larger_orders(self):
-        assert crt_attachment(2, 5, 2, 3) == root(2, 15)
-
-    def test_requires_coprime_orders(self):
-        with pytest.raises(ValueError):
-            crt_attachment(1, 4, 1, 6)
+        assert coprime_endpoint(2, 5, 2, 3) == root(2, 15)
 
     def test_requires_matching_parity(self):
         with pytest.raises(ValueError):
-            crt_attachment(1, 3, 2, 5)
+            coprime_endpoint(1, 3, 2, 5)
 
     def test_agrees_with_brute_force_scan(self):
         for m, n in [(3, 2), (2, 3), (5, 3), (5, 2), (7, 4), (8, 3), (9, 2)]:
@@ -132,13 +140,13 @@ class TestCrtAttachment:
                 for kp in range(1, n):
                     if (k - kp) % 2 != 0:
                         continue
-                    assert crt_attachment(k, m, kp, n) == brute_force_crt(k, m, kp, n)
+                    assert coprime_endpoint(k, m, kp, n) == brute_force_crt(k, m, kp, n)
                     # the other closure point uses the inverted second eigenvalue
-                    assert crt_attachment(k, m, 2 * n - kp, n) == brute_force_crt(
+                    assert coprime_endpoint(k, m, 2 * n - kp, n) == brute_force_crt(
                         k, m, 2 * n - kp, n
                     )
 
     def test_power_equations_hold_exactly(self):
-        t = crt_attachment(3, 7, 1, 4)
+        t = coprime_endpoint(3, 7, 1, 4)
         assert t**4 == root(3, 7)
         assert t**7 == root(1, 4)

@@ -10,20 +10,16 @@ from hypothesis import given, strategies as st
 from tkchar.su2 import (
     DegenerateError,
     ProjectivePoint,
-    SpecialLinearMatrix,
     UnitaryMatrix,
-    apply_matrix,
     commutator_trace,
     conjugate_by,
     cross_ratio,
     eigen_decompose,
     from_quaternion,
     is_reducible_pair,
-    mat_mul,
     mat_pow,
     proj_gap,
     sup_diff,
-    to_special_linear,
     trace,
 )
 
@@ -37,6 +33,12 @@ unit_complex = st.builds(
 def random_su2(rng) -> UnitaryMatrix:
     g = rng.normal(size=4)
     return from_quaternion(complex(g[0], g[1]), complex(g[2], g[3]))
+
+
+def act(m: UnitaryMatrix, p: ProjectivePoint) -> ProjectivePoint:
+    """The linear action of a 2x2 matrix on a projective point."""
+    m11, m12, m21, m22 = m.entries()
+    return ProjectivePoint(m11 * p.x + m12 * p.y, m21 * p.x + m22 * p.y)
 
 
 class TestUnitaryMatrix:
@@ -62,28 +64,6 @@ class TestUnitaryMatrix:
     def test_entries_layout(self):
         u = UnitaryMatrix(0.6 + 0.0j, 0.8 + 0.0j)
         assert u.entries() == (0.6 + 0.0j, -0.8 + 0.0j, 0.8 + 0.0j, 0.6 - 0.0j)
-
-
-class TestSpecialLinear:
-    def test_det_validation(self):
-        with pytest.raises(ValueError):
-            SpecialLinearMatrix(1, 0, 0, 2)
-
-    def test_inverse_and_product(self):
-        s = SpecialLinearMatrix(2, 3, 1, 2)
-        prod = s @ s.inv()
-        assert sup_diff(prod, SpecialLinearMatrix.identity()) < 1e-14
-
-    def test_promotion_on_mixed_product(self):
-        u = from_quaternion(1, 1j)
-        s = SpecialLinearMatrix(2, 0, 0, 0.5)
-        out = mat_mul(u, s)
-        assert isinstance(out, SpecialLinearMatrix)
-        assert np.max(np.abs(out.matrix() - u.matrix() @ s.matrix())) < 1e-14
-
-    def test_to_special_linear_preserves_entries(self):
-        u = from_quaternion(0.3 + 0.4j, 0.5 - 0.1j)
-        assert sup_diff(to_special_linear(u), u) < 1e-15
 
 
 class TestPowersAndTraces:
@@ -139,7 +119,7 @@ class TestReducibility:
                 # exhibit the common eigenvector unless a is central
                 if 2 - abs(trace(a).real) > 1e-7:
                     _, e1, _ = eigen_decompose(a, 1e-7)
-                    img = apply_matrix(b, e1)
+                    img = act(b, e1)
                     assert proj_gap(e1, img) < 1e-5
             else:
                 assert not planted
@@ -168,9 +148,9 @@ class TestEigen:
                 continue
             lam, e1, e2 = eigen_decompose(u)
             assert abs(lam.imag) > 0
-            img = apply_matrix(u, e1)
+            img = act(u, e1)
             assert abs(img.x - lam * e1.x) + abs(img.y - lam * e1.y) < 1e-12
-            img2 = apply_matrix(u, e2)
+            img2 = act(u, e2)
             lam2 = lam.conjugate()
             assert abs(img2.x - lam2 * e2.x) + abs(img2.y - lam2 * e2.y) < 1e-12
 
@@ -243,7 +223,7 @@ class TestCrossRatio:
         base = cross_ratio(*pts)
         for _ in range(50):
             g = random_su2(rng)
-            moved = [apply_matrix(g, q) for q in pts]
+            moved = [act(g, q) for q in pts]
             assert cross_ratio(*moved) == pytest.approx(base, abs=1e-10)
 
     def test_degenerate_quadruple_refused(self):

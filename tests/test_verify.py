@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from tkchar.components import GroupParams, Irr, Red, alpha_root, enumerate_irr
-from tkchar.graph import involution_twist, red_coordinate
+from tkchar.graph import build_graph, involution_twist, red_coordinate
 from tkchar.reps import build_irr, build_red_noncoprime, character
 from tkchar.roots import root
 from tkchar.su2 import UnitaryMatrix, conjugate_by, from_quaternion, sup_diff
 from tkchar.verify import (
     AmbiguousDecodeError,
     SampleConfig,
+    _common_eigenvalues,
+    _decode_red_eigenvalues,
     _nearest_label,
     canonical_red_angle,
     classify,
@@ -283,6 +285,27 @@ class TestEmpiricalStructure:
             "decode_errors",
         ):
             assert key in doc
+
+    def test_limit_vote_decodes_every_arc_end(self):
+        # the adjacency vote reads a near-limit pair through the reducible
+        # decoder; it must land on build_graph's endpoint node on both ends
+        # of every arc, whatever the conjugation
+        rng = np.random.default_rng(20240)
+        for m, n in [(30, 45), (100, 150)]:
+            p = GroupParams(m, n)
+            for arc in build_graph(p).arcs:
+                k, kp = arc.component.k, arc.component.kp
+                for side, t in enumerate((0.0199, 0.9801)):
+                    a, b = build_irr(p, k, kp, t)
+                    g = haar(rng)
+                    a, b = conjugate_by(a, g), conjugate_by(b, g)
+                    lam, mu = _common_eigenvalues(a, b, 1e-9)
+                    node = _decode_red_eigenvalues(p, lam, mu)[0]
+                    assert node == arc.endpoints[side].node, ((m, n), (k, kp), side)
+
+    def test_summary_json_is_strict(self):
+        with pytest.raises(ValueError):
+            summary_to_json({"tolerance": float("nan")})
 
     def test_component_key_format(self):
         assert component_key(Red(2)) == "red:2"
