@@ -28,6 +28,14 @@ class DegenerateError(ValueError):
     (central matrix, coincident projective points, reducible pair)."""
 
 
+def _qmul(xa: complex, xb: complex, ya: complex, yb: complex) -> tuple[complex, complex]:
+    """Quaternion pair (a, b) of the product x @ y of two SU(2) elements.
+
+    The module's one product formula: __matmul__, mat_pow and conjugate_by
+    all go through it, so their floats agree bit for bit."""
+    return xa * ya - xb.conjugate() * yb, xb * ya + xa.conjugate() * yb
+
+
 @dataclass(frozen=True, slots=True)
 class UnitaryMatrix:
     """SU(2) element [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 == 1."""
@@ -43,10 +51,7 @@ class UnitaryMatrix:
         return UnitaryMatrix(self.a.conjugate(), -self.b)
 
     def __matmul__(self, other: "UnitaryMatrix") -> "UnitaryMatrix":
-        return UnitaryMatrix(
-            self.a * other.a - self.b.conjugate() * other.b,
-            self.b * other.a + self.a.conjugate() * other.b,
-        )
+        return UnitaryMatrix(*_qmul(self.a, self.b, other.a, other.b))
 
     def entries(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, -self.b.conjugate(), self.b, self.a.conjugate())
@@ -69,17 +74,20 @@ def from_quaternion(a: complex, b: complex) -> UnitaryMatrix:
 
 
 def mat_pow(x: UnitaryMatrix, k: int) -> UnitaryMatrix:
-    """x**k by binary exponentiation; negative k inverts first."""
+    """x**k by binary exponentiation; negative k inverts first.
+
+    Multiplies raw quaternion pairs with _qmul (bit-identical to a chain
+    of @ products) and builds one UnitaryMatrix at the end."""
     if k < 0:
         x, k = x.inv(), -k
-    result = x.identity()
-    base = x
+    ra, rb = 1.0 + 0.0j, 0.0j
+    ba, bb = x.a, x.b
     while k:
         if k & 1:
-            result = result @ base
-        base = base @ base
+            ra, rb = _qmul(ra, rb, ba, bb)
+        ba, bb = _qmul(ba, bb, ba, bb)
         k >>= 1
-    return result
+    return UnitaryMatrix(ra, rb)
 
 
 def trace(x: UnitaryMatrix) -> complex:
@@ -87,8 +95,10 @@ def trace(x: UnitaryMatrix) -> complex:
 
 
 def conjugate_by(x: UnitaryMatrix, p: UnitaryMatrix) -> UnitaryMatrix:
-    """p x p^-1."""
-    return p @ x @ p.inv()
+    """p x p^-1, as (p @ x) @ p.inv() on raw quaternion pairs (bit-identical
+    to the @ chain, one UnitaryMatrix built)."""
+    ya, yb = _qmul(p.a, p.b, x.a, x.b)
+    return UnitaryMatrix(*_qmul(ya, yb, p.a.conjugate(), -p.b))
 
 
 def commutator_trace(a: UnitaryMatrix, b: UnitaryMatrix) -> complex:

@@ -16,13 +16,21 @@ commutator trace separates reducible from irreducible, traces pin the
 eigenvalue exponents (k, kp), the eigenvector cross-ratio recovers t, and
 for reducible pairs the eigenvalue pair is matched exactly-nearest against
 the component labels xi^i and folded to canonical form.
+
+Everything that depends only on the orders (the irreducible labels, the
+trace ladders with their tolerances, the Bezout pair, the roots alpha_i
+and the involution twists) is built once per (m, n), on first use, and
+shared by every sample of the run.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -77,8 +85,53 @@ class SampleConfig:
     def __post_init__(self) -> None:
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.reducible_fraction <= 1.0:
             raise ValueError("reducible_fraction must lie in [0, 1]")
+
+
+@functools.lru_cache(maxsize=1)
+def _irr(p: GroupParams) -> tuple[Irr, ...]:
+    """The irreducible labels of one (m, n), which sample_pair draws from.
+
+    O(m*n) labels, so only the order in use is kept; the reducible decoder
+    never needs them.
+    """
+    return tuple(enumerate_irr(p))
+
+
+@dataclass(frozen=True, slots=True)
+class _OrderTables:
+    """Per-order constants of the reducible decoder; see _tables."""
+
+    bezout: tuple[int, int]
+    alpha: tuple[complex, ...]
+    alpha_conj: tuple[complex, ...]
+    psi: tuple[float | None, ...]
+
+
+@functools.cache
+def _tables(p: GroupParams) -> _OrderTables:
+    """The reducible decoder's O(d) data for one (m, n), built on first use.
+
+    bezout is the pair (u, v) with u*a + v*b == 1.  The other fields are
+    indexed by the raw component i: alpha[i] and alpha_conj[i] are
+    alpha_root(p, i) and its conjugate as complex numbers, and psi[i] is
+    the twist half-angle if i is self-paired (None otherwise).  Each value
+    is computed by the same expression the per-sample code used, so cached
+    and uncached runs agree bit for bit.
+    """
+    roots = [alpha_root(p, i) for i in range(p.d)]
+    return _OrderTables(
+        bezout=bezout_coprime(p.a, p.b),
+        alpha=tuple(r.to_complex() for r in roots),
+        alpha_conj=tuple(r.conj().to_complex() for r in roots),
+        psi=tuple(
+            involution_twist(p, i).angle / 2.0 if self_paired(i, p.d) else None
+            for i in range(p.d)
+        ),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +151,7 @@ def sample_pair(cfg: SampleConfig, index: int) -> tuple[UnitaryMatrix, UnitaryMa
         theta = 2.0 * math.pi * rng.random()
         a, b = build_red_noncoprime(p, i, cmath.exp(1j * theta))
     else:
-        comps = enumerate_irr(p)
+        comps = _irr(p)
         comp = comps[int(rng.integers(len(comps)))]
         t = min(max(rng.random(), 1e-12), 1.0 - 1e-12)
         a, b = build_irr(p, comp.k, comp.kp, t)
@@ -117,18 +170,33 @@ def _ladder_tol(ladder: list[float]) -> float:
     return min(abs(u - v) for u, v in zip(ladder, ladder[1:])) / 2.0
 
 
+@functools.cache
+def _ladder(order: int) -> tuple[tuple[float, ...], float]:
+    """The trace ladder of one order and its half-gap tolerance."""
+    ladder = _trace_ladder(order)
+    return tuple(ladder), _ladder_tol(ladder)
+
+
 def _nearest_label(tr: float, order: int) -> int:
     """Eigenvalue exponent whose ideal trace 2cos(pi*k/order) is nearest tr.
 
     Raises AmbiguousDecodeError when two labels fit within half the minimal
     ladder gap (cannot happen for clean inputs; guards corrupted data).
+    The ladder falls strictly with k, so only the two entries around tr's
+    insertion point can be nearest or fit within the tolerance.  On a tie
+    the smaller label wins; far outside [-2, 2] the rounded distances of
+    several labels above tr can tie, hence the walk towards k = 1.
     """
-    ladder = _trace_ladder(order)
-    tol = _ladder_tol(ladder)
-    hits = tuple(k + 1 for k, ideal in enumerate(ladder) if abs(tr - ideal) <= tol)
+    ladder, tol = _ladder(order)
+    j = bisect.bisect_left(ladder, -tr, key=operator.neg)
+    near = [k for k in (j - 1, j) if 0 <= k < len(ladder)]
+    hits = tuple(k + 1 for k in near if abs(tr - ladder[k]) <= tol)
     if len(hits) > 1:
         raise AmbiguousDecodeError(f"trace {tr} fits labels {hits}", hits)
-    return 1 + min(range(len(ladder)), key=lambda k: abs(tr - ladder[k]))
+    k = min(near, key=lambda k: abs(tr - ladder[k]))
+    while k > 0 and abs(tr - ladder[k - 1]) == abs(tr - ladder[k]):
+        k -= 1
+    return k + 1
 
 
 def _wrap(x: float) -> float:
@@ -136,27 +204,27 @@ def _wrap(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _decode_red_eigenvalues(p: GroupParams, lam: complex, mu: complex) -> tuple[int, float, float]:
-    """(canonical index, canonical angle, label residual) from an eigenvalue pair.
+def _decode_red_eigenvalues(p: GroupParams, lam: complex, mu: complex) -> tuple[int, float]:
+    """(canonical index, canonical angle) from an eigenvalue pair.
 
     The component index comes from matching lam^a * mu^-b against the exact
     labels xi^i; folding to i <= d/2 replaces (lam, mu) by the conjugate
     pair, and on self-paired components the involution picks the angle
     representative in [psi, psi + pi] around the twist half-angle psi.
     """
+    tab = _tables(p)
     zeta = lam ** p.a * mu ** -p.b
     i_raw = round(cmath.phase(zeta) * p.d / (2.0 * math.pi)) % p.d
-    label_residual = abs(zeta - cmath.exp(2j * math.pi * i_raw / p.d))
     i_can = fold_index(i_raw, p.d)
     if i_can != i_raw:
         lam, mu = lam.conjugate(), mu.conjugate()
-    u, v = bezout_coprime(p.a, p.b)
-    t = (alpha_root(p, i_can).to_complex() * mu) ** u * lam ** v
+    u, v = tab.bezout
+    t = (tab.alpha[i_can] * mu) ** u * lam ** v
     theta = cmath.phase(t) % (2.0 * math.pi)
-    if self_paired(i_can, p.d):
-        psi = involution_twist(p, i_can).angle / 2.0
+    psi = tab.psi[i_can]
+    if psi is not None:
         theta = (psi + abs(_wrap(theta - psi))) % (2.0 * math.pi)
-    return i_can, theta, label_residual
+    return i_can, theta
 
 
 def canonical_red_angle(p: GroupParams, i_raw: int, theta: float) -> tuple[int, float]:
@@ -166,9 +234,8 @@ def canonical_red_angle(p: GroupParams, i_raw: int, theta: float) -> tuple[int, 
         raise ValueError(f"raw component index {i_raw} outside [0, {p.d})")
     t = cmath.exp(1j * theta)
     lam = t ** p.b
-    mu = alpha_root(p, i_raw).conj().to_complex() * t ** p.a
-    i_can, theta_can, _ = _decode_red_eigenvalues(p, lam, mu)
-    return i_can, theta_can
+    mu = _tables(p).alpha_conj[i_raw] * t ** p.a
+    return _decode_red_eigenvalues(p, lam, mu)
 
 
 def _near_central(x: UnitaryMatrix, tol: float) -> bool:
@@ -215,13 +282,13 @@ def classify(
     trace distance to the decoded component's ideal traces.
     """
     relation = sup_diff(mat_pow(a, p.m), mat_pow(b, p.n))
-    if relation > RELATION_TOL:
+    if not relation <= RELATION_TOL:
         raise ValueError(f"pair violates the relation (residual {relation:.3g})")
     if is_reducible_pair(a, b, tol):
         lam, mu = _common_eigenvalues(a, b, tol)
-        i_can, theta, _ = _decode_red_eigenvalues(p, lam, mu)
+        i_can, theta = _decode_red_eigenvalues(p, lam, mu)
         lam_ideal = cmath.exp(1j * p.b * theta)
-        mu_ideal = alpha_root(p, i_can).conj().to_complex() * cmath.exp(1j * p.a * theta)
+        mu_ideal = _tables(p).alpha_conj[i_can] * cmath.exp(1j * p.a * theta)
         residual = abs(trace(a).real - 2.0 * lam_ideal.real) + abs(
             trace(b).real - 2.0 * mu_ideal.real
         )
@@ -299,7 +366,7 @@ def empirical_structure(cfg: SampleConfig) -> dict:
     g = build_graph(p)
     expected = sorted(
         [component_key(info.id) for info in enumerate_red(p)]
-        + [component_key(c) for c in enumerate_irr(p)]
+        + [component_key(c) for c in _irr(p)]
     )
 
     counts: Counter[str] = Counter()

@@ -155,6 +155,11 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "-m", "3", "-n", "2", "-N", "0")
         assert code == 2
 
+    def test_negative_seed_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "-m", "3", "-n", "2", "-N", "10", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "seed" in err
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-1", "0"])
     def test_non_positive_or_non_finite_tolerance_usage_error(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("TKCHAR_TOL", raw)
@@ -177,6 +182,12 @@ GOLDEN_SHA256 = {
         "ab83da8474bf16e1365543b859b6d6fe2bb28a7a310413d6ddaf1393307a2710",
     ("verify", "-m", "4", "-n", "6", "-N", "2000", "--seed", "7"):
         "26cbfeef8f48689e762ec40b6632f796b0f3845b49a9530e24611de168dad3ac",
+    # d = 6 with the self-paired Red(3)
+    ("verify", "-m", "12", "-n", "18", "-N", "2000", "--seed", "5"):
+        "c225adc1661628781b79d2663fd500a0a48d56a88bdaaa9b9e04010b1be739d6",
+    # coprime orders, d = 1
+    ("verify", "-m", "7", "-n", "4", "-N", "2000", "--seed", "2"):
+        "af33967062ab0137d8df18be77c1f4d07fb269f5846bcefa24c674888b283950",
 }
 
 

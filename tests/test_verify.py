@@ -13,12 +13,15 @@ from tkchar.graph import build_graph, involution_twist, red_coordinate
 from tkchar.reps import build_irr, build_red_noncoprime, character
 from tkchar.roots import root
 from tkchar.su2 import UnitaryMatrix, conjugate_by, from_quaternion, sup_diff
+import tkchar.verify
 from tkchar.verify import (
     AmbiguousDecodeError,
     SampleConfig,
     _common_eigenvalues,
     _decode_red_eigenvalues,
+    _ladder_tol,
     _nearest_label,
+    _trace_ladder,
     canonical_red_angle,
     classify,
     component_key,
@@ -74,8 +77,6 @@ class TestClassifyIrreducible:
     def test_nearest_label_ambiguity(self):
         # a trace inside both half-gap windows of adjacent labels is refused;
         # scan a few ulps around the midpoint to land inside both windows
-        from tkchar.verify import _ladder_tol, _trace_ladder
-
         ladder = _trace_ladder(3)
         tol = _ladder_tol(ladder)
         v = (ladder[0] + ladder[1]) / 2
@@ -88,6 +89,43 @@ class TestClassifyIrreducible:
         with pytest.raises(AmbiguousDecodeError) as exc:
             _nearest_label(v, 3)
         assert exc.value.candidates == (1, 2)
+
+    def test_bisected_decoder_matches_linear_scan(self):
+        # every ladder value, every midpoint and its two float neighbours,
+        # +-2 and traces beyond them: same label, same refusals
+        beyond = [2.0, -2.0, math.nextafter(2.0, 3.0), math.nextafter(-2.0, -3.0)]
+        beyond += [2.5, -2.5, 3.0, -3.0, 1e3, -1e3, 1e20, -1e20]
+        refused = 0
+        for order in range(2, 301):
+            ladder = _trace_ladder(order)
+            mids = [(u + v) / 2 for u, v in zip(ladder, ladder[1:])]
+            near_mids = [math.nextafter(x, s) for x in mids for s in (-math.inf, math.inf)]
+            traces = ladder + mids + near_mids + beyond
+            for tr, want in zip(traces, _linear_scan_labels(traces, order)):
+                try:
+                    got = _nearest_label(tr, order)
+                except AmbiguousDecodeError as exc:
+                    got = ("ambiguous", exc.candidates)
+                    refused += 1
+                assert got == want, (order, tr)
+        assert refused > 0
+
+
+def _linear_scan_labels(traces: list[float], order: int) -> list:
+    """The linear-scan decoder that the bisection replaced, one trace per
+    row: a trace within the half-gap tolerance of two or more ladder values
+    is refused with those labels, otherwise the label is the first index of
+    the smallest distance."""
+    ladder = _trace_ladder(order)
+    tol = _ladder_tol(ladder)
+    dist = np.abs(np.asarray(traces)[:, None] - np.asarray(ladder)[None, :])
+    hits = dist <= tol
+    labels = dist.argmin(axis=1) + 1
+    out = []
+    for row, label in zip(hits, labels):
+        fits = tuple(int(k) + 1 for k in np.flatnonzero(row))
+        out.append(("ambiguous", fits) if len(fits) > 1 else int(label))
+    return out
 
 
 class TestClassifyReducible:
@@ -201,6 +239,30 @@ class TestSamplePair:
             SampleConfig(params=GroupParams(3, 2), sample_count=0)
         with pytest.raises(ValueError):
             SampleConfig(params=GroupParams(3, 2), reducible_fraction=1.5)
+        with pytest.raises(ValueError, match="seed"):
+            SampleConfig(params=GroupParams(3, 2), seed=-1)
+
+    def test_non_finite_pair_refused(self):
+        # NaN compares false against every bound: the relation check must
+        # still refuse it rather than decode a NaN coordinate
+        a = UnitaryMatrix(complex(math.nan, math.nan), complex(math.nan))
+        b = UnitaryMatrix(complex(math.nan), complex(0.5))
+        with pytest.raises(ValueError, match="relation"):
+            classify(GroupParams(3, 2), a, b)
+
+    def test_per_order_work_done_once(self, monkeypatch):
+        # the label tuple is built once per (m, n), not once per sample
+        calls = []
+        real = tkchar.verify.enumerate_irr
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(tkchar.verify, "enumerate_irr", counted)
+        tkchar.verify._irr.cache_clear()
+        empirical_structure(SampleConfig(params=GroupParams(30, 45), sample_count=2000, seed=3))
+        assert 1 <= len(calls) <= 2
 
 
 class TestFindConjugator:
