@@ -4,7 +4,8 @@ Subcommands: components (enumerate with topology labels), graph (JSON, DOT
 or SVG serialization of the incidence graph), rep (build explicit matrices
 and print characters), verify (run the sampling oracle and report).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  The
+Exit codes: 0 success, 1 verification failure, 2 usage error (including
+an -o path that cannot be written).  The
 environment variable TKCHAR_TOL overrides the global numerical tolerance;
 it must be a finite number > 0.
 All randomness is seeded; every subcommand is byte-deterministic given its
@@ -31,7 +32,10 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _fmt_complex(z: complex) -> str:

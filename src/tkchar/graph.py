@@ -8,14 +8,19 @@ lam = exp(i*pi*k/m), mu = exp(i*pi*kp/n).  Every coordinate here is a
 RootOfUnity, so endpoint equality and the defining power equations are
 checked exactly.
 
-Canonicalization: an endpoint is first computed on its raw circle i (the
-unique t with t^b = lam, t^a = alpha_i * mu_eff); if i exceeds d/2 the
-mirrored coordinate on component d - i is used instead, and on self-paired
-components (i == -i mod d) the representative of the involution
-t ~ alpha_i^(2u) * t^-1 with the smaller angle is chosen.  The involution
-invariant 2*cos(angle(t) - angle(twist)/2) is the interval coordinate
-s_real; for circle nodes s_real is 2*cos(angle(t)) and is informational
-only (the angle itself is the coordinate).
+Canonicalization: every endpoint is exp(i*pi*c/M) for an integer c mod
+2M, M = lcm(m, n) = d*a*b.  On its raw circle i (from attachment) the
+endpoint (lam, mu) = (exp(i*pi*k/m), exp(i*pi*s/n)), with s = kp on the
+first endpoint and s = -kp on the second, is the unique t with t^b = lam
+and t^a = alpha_i * mu: c = a*u*(2i + s) + b*v*k for u*a + v*b = 1, which
+exists iff k - s - 2i == 0 (mod 2d).  Two integer reflections make it
+canonical.  If i exceeds d/2, the mirrored character (lam^-1, mu^-1) on
+component d - i is c -> 2*a*u*d - c.  On self-paired components
+(i == -i mod d) the involution t ~ twist * t^-1 is c -> tau - c, with
+twist = exp(i*pi*tau/M) = alpha_i^(2u), and the smaller of the two is
+kept.  The involution invariant 2*cos(angle(t) - angle(twist)/2) is the
+interval coordinate s_real; for circle nodes s_real is 2*cos(angle(t)) and
+is informational only (the angle itself is the coordinate).
 
 Serialization targets the "tkchar-graph/1" layout: a JSON object with
 exactly the fields params / nodes / arcs, plus DOT and schematic SVG
@@ -37,11 +42,9 @@ from .components import (
     bezout_coprime,
     enumerate_irr,
     enumerate_red,
-    fold_index,
     self_paired,
-    xi_root,
 )
-from .roots import RootOfUnity, root
+from .roots import RootOfUnity
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,19 +78,6 @@ class IncidenceGraph:
     arcs: tuple[Arc, ...]
 
 
-def red_coordinate(p: GroupParams, i: int, lam: RootOfUnity, mu: RootOfUnity) -> RootOfUnity:
-    """Exact circle coordinate of the reducible character (lam, mu) on raw component i.
-
-    The unique t with t^b == lam and t^a == alpha_i * mu, computed as
-    (alpha_i * mu)^u * lam^v for u*a + v*b == 1.  Existence requires
-    lam^a * mu^-b == xi^i, which is validated.
-    """
-    if (lam ** p.a) * (mu ** -p.b) != xi_root(p) ** i:
-        raise ValueError(f"({lam}, {mu}) does not lie on reducible component {i}")
-    u, v = bezout_coprime(p.a, p.b)
-    return (alpha_root(p, i) * mu) ** u * lam ** v
-
-
 def involution_twist(p: GroupParams, i: int) -> RootOfUnity:
     """Constant c of the involution t ~ c * t^-1 on self-paired component i."""
     if not self_paired(i, p.d):
@@ -96,44 +86,38 @@ def involution_twist(p: GroupParams, i: int) -> RootOfUnity:
     return alpha_root(p, i) ** (2 * u)
 
 
-def _attachment_from_raw(p: GroupParams, i_raw: int, t_raw: RootOfUnity) -> AttachmentPoint:
-    """Fold a raw (circle index, coordinate) pair to its canonical representative."""
-    i_can = fold_index(i_raw, p.d)
-    if i_can == i_raw:
-        t_on = t_raw
-    else:
-        # mirrored character (lam^-1, mu^-1), reconstructed from t_raw alone
-        lam_inv = t_raw ** -p.b
-        mu_inv = alpha_root(p, i_raw) * t_raw ** -p.a
-        t_on = red_coordinate(p, i_can, lam_inv, mu_inv)
-    if self_paired(i_can, p.d):
-        twist = involution_twist(p, i_can)
-        alt = twist * (t_on ** -1)
-        # deterministic representative: the smaller angle as an exact fraction
-        t_can = t_on if t_on.num * alt.den <= alt.num * t_on.den else alt
-        s = 2.0 * math.cos(t_can.angle - twist.angle / 2.0)
-    else:
-        t_can = t_on
-        s = 2.0 * math.cos(t_can.angle)
-    return AttachmentPoint(
-        node=i_can,
-        raw_index=i_raw,
-        t_raw=t_raw,
-        t_canonical=t_can,
-        s_real=s,
-        folded=i_can != i_raw,
-    )
-
-
 def build_graph(p: GroupParams) -> IncidenceGraph:
     """The full incidence graph with exact attachment coordinates."""
+    big = p.d * p.a * p.b  # lcm(m, n): every endpoint is exp(i*pi*c/big)
+    u, v = bezout_coprime(p.a, p.b)
+    # self-paired node -> (twist numerator over big, twist half-angle)
+    twists = {}
+    for i in range(p.d // 2 + 1):
+        if self_paired(i, p.d):
+            twist = involution_twist(p, i)
+            twists[i] = (twist.num * (big // twist.den), twist.angle / 2.0)
+
+    def endpoint(k: int, s: int, i_raw: int, i_can: int) -> AttachmentPoint:
+        # (exp(i*pi*k/m), exp(i*pi*s/n)) lies on circle i_raw iff
+        # lam^a * mu^-b == xi^i_raw
+        if (k - s - 2 * i_raw) % (2 * p.d):
+            raise RuntimeError(f"endpoint ({k}/{p.m}, {s}/{p.n}) is not on component {i_raw}")
+        c_raw = (p.a * u * (2 * i_raw + s) + p.b * v * k) % (2 * big)
+        c = c_raw if i_can == i_raw else (2 * p.a * u * p.d - c_raw) % (2 * big)
+        psi = 0.0
+        if i_can in twists:
+            tau, psi = twists[i_can]
+            c = min(c, (tau - c) % (2 * big))
+        t_raw = RootOfUnity(c_raw, big)
+        t_can = t_raw if c == c_raw else RootOfUnity(c, big)
+        s_real = 2.0 * math.cos(t_can.angle - psi)
+        return AttachmentPoint(i_can, i_raw, t_raw, t_can, s_real, i_can != i_raw)
+
     arcs = []
     for comp in enumerate_irr(p):
-        lam = root(comp.k, p.m)
-        mu = root(comp.kp, p.n)
-        i0_raw, i1_raw, _, _ = attachment(p, comp.k, comp.kp)
-        ep0 = _attachment_from_raw(p, i0_raw, red_coordinate(p, i0_raw, lam, mu))
-        ep1 = _attachment_from_raw(p, i1_raw, red_coordinate(p, i1_raw, lam, mu.conj()))
+        i0_raw, i1_raw, i0, i1 = attachment(p, comp.k, comp.kp)
+        ep0 = endpoint(comp.k, comp.kp, i0_raw, i0)
+        ep1 = endpoint(comp.k, -comp.kp, i1_raw, i1)
         if ep0.node == ep1.node and ep0.t_canonical == ep1.t_canonical:
             raise RuntimeError(f"arc {comp} has coincident endpoints; invariant violated")
         arcs.append(Arc(comp, (ep0, ep1)))

@@ -180,6 +180,11 @@ GOLDEN_SHA256 = {
         "00d3e3c914212d277872805aa4fb95c035cfc5490f755ab01802de56b3252ba1",
     ("graph", "-m", "5", "-n", "3", "--format", "json"):
         "ab83da8474bf16e1365543b859b6d6fe2bb28a7a310413d6ddaf1393307a2710",
+    # even d: endpoints on the self-paired Red(d/2) take the involution branch
+    ("graph", "-m", "8", "-n", "12", "--format", "json"):
+        "9226fd4d71594f5a3f81143e0963b96832c56f880565a7cef995b9e8cc7cb77f",
+    ("graph", "-m", "12", "-n", "18", "--format", "json"):
+        "569dc0e650fc00514e3610347e2cdb7d26beb6907d11274c967864afa8862a6a",
     ("verify", "-m", "4", "-n", "6", "-N", "2000", "--seed", "7"):
         "26cbfeef8f48689e762ec40b6632f796b0f3845b49a9530e24611de168dad3ac",
     # d = 6 with the self-paired Red(3)
@@ -215,3 +220,19 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert "1 reducible" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("graph", "-m", "3", "-n", "2"),
+            ("verify", "-m", "3", "-n", "2", "-N", "10", "--seed", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output_usage_error(self, tmp_path, capsys, argv):
+        # exit 1 means "verification failed"; an unwritable -o is a usage error
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "-o", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write") and str(target) in err
+        assert not target.exists()

@@ -5,13 +5,14 @@ import math
 
 import pytest
 
+import tkchar.graph
 from tkchar.components import (
     GroupParams,
     alpha_root,
     attachment,
     count_irr,
-    enumerate_irr,
     enumerate_red,
+    fold_index,
     joining_component,
     self_paired,
 )
@@ -20,7 +21,6 @@ from tkchar.graph import (
     build_graph,
     involution_twist,
     is_connected,
-    red_coordinate,
     shared_endpoints,
     to_dot,
     to_json,
@@ -119,15 +119,21 @@ class TestExactness:
         # for coprime orders the endpoint is the Chinese-remainder solution,
         # found here by the independent scan
         for m, n in [(3, 2), (5, 3), (7, 4), (8, 3), (9, 2)]:
-            p = GroupParams(m, n)
-            for comp in enumerate_irr(p):
-                lam, mu = root(comp.k, m), root(comp.kp, n)
-                assert red_coordinate(p, 0, lam, mu) == brute_force_endpoint(comp.k, m, comp.kp, n)
+            for arc in build_graph(GroupParams(m, n)).arcs:
+                k, kp = arc.component.k, arc.component.kp
+                ep0, ep1 = arc.endpoints
+                assert ep0.t_raw == brute_force_endpoint(k, m, kp, n)
+                assert ep1.t_raw == brute_force_endpoint(k, m, 2 * n - kp, n)
 
-    def test_red_coordinate_membership_validated(self):
-        p = GroupParams(6, 9)
-        with pytest.raises(ValueError):
-            red_coordinate(p, 0, root(1, 6), root(3, 9))  # lies on component 1
+    def test_endpoint_membership_validated(self, monkeypatch):
+        # an endpoint handed a raw circle its eigenvalues do not lie on is refused
+        def shifted(p, k, kp):
+            i0, i1, _, c1 = attachment(p, k, kp)
+            return (i0 + 1) % p.d, i1, fold_index(i0 + 1, p.d), c1
+
+        monkeypatch.setattr(tkchar.graph, "attachment", shifted)
+        with pytest.raises(RuntimeError, match="is not on component"):
+            build_graph(GroupParams(6, 9))
 
     def test_involution_twist_guard(self):
         p = GroupParams(6, 9)  # d = 3: only component 0 is self-paired

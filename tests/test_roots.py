@@ -6,8 +6,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from tkchar.components import GroupParams
-from tkchar.graph import red_coordinate
+from tkchar.components import GroupParams, attachment
+from tkchar.graph import build_graph
 from tkchar.roots import MINUS_ONE, ONE, RootOfUnity, root
 
 
@@ -15,8 +15,14 @@ def coprime_endpoint(k: int, m: int, k2: int, n: int) -> RootOfUnity:
     """The t with t^n = exp(i*pi*k/m) and t^m = exp(i*pi*k2/n) for coprime
     m, n: writing t = exp(i*pi*c/(m*n)), the Chinese-remainder solution of
     c = k (mod 2m), c = k2 (mod 2n), which is the exact circle coordinate on
-    the single reducible component."""
-    return red_coordinate(GroupParams(m, n), 0, root(k, m), root(k2, n))
+    the single reducible component.  Read off the incidence graph: arc
+    (k, kp) closes at mu = exp(i*pi*kp/n) on endpoint 0 and at mu^-1 on
+    endpoint 1, so k2 = 2n - kp addresses endpoint 1 of arc (k, kp)."""
+    kp, side = (k2, 0) if k2 < n else (2 * n - k2, 1)
+    for arc in build_graph(GroupParams(m, n)).arcs:
+        if (arc.component.k, arc.component.kp) == (k, kp):
+            return arc.endpoints[side].t_raw
+    raise ValueError(f"no arc ({k}, {kp}) for orders ({m}, {n})")
 
 
 def brute_force_crt(k: int, m: int, k2: int, n: int) -> RootOfUnity:
@@ -119,7 +125,7 @@ def test_canonical_form_is_stable(c, n):
 
 
 class TestCrtAttachment:
-    """Coprime endpoints through the general circle coordinate of the graph layer."""
+    """Coprime endpoints as the raw coordinates of the incidence graph."""
 
     def test_first_example(self):
         assert coprime_endpoint(1, 3, 1, 2) == root(1, 6)
@@ -132,7 +138,7 @@ class TestCrtAttachment:
 
     def test_requires_matching_parity(self):
         with pytest.raises(ValueError):
-            coprime_endpoint(1, 3, 2, 5)
+            attachment(GroupParams(3, 5), 1, 2)
 
     def test_agrees_with_brute_force_scan(self):
         for m, n in [(3, 2), (2, 3), (5, 3), (5, 2), (7, 4), (8, 3), (9, 2)]:

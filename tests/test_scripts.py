@@ -1,0 +1,42 @@
+"""Smoke tests of the helper scripts, run as subprocesses like a user would."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+from tkchar.components import GroupParams
+from tkchar.graph import build_graph, to_dot, to_json, to_svg_schematic
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_sweep_counts():
+    proc = run_script("sweep_counts.py", "--max", "6")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["m", "n", "d", "red", "irr", "loops"]
+    pairs = [(m, n) for m in range(2, 7) for n in range(2, m + 1)]
+    assert [tuple(int(x) for x in row.split()[:2]) for row in rows] == pairs
+
+
+def test_render_figures(tmp_path):
+    proc = run_script("render_figures.py", "-m", "8", "-n", "12", "-o", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    g = build_graph(GroupParams(8, 12))
+    written = {path.name for path in tmp_path.iterdir()}
+    assert written == {"graph-8-12.json", "graph-8-12.dot", "graph-8-12.svg"}
+    for ext, render in (("json", to_json), ("dot", to_dot), ("svg", to_svg_schematic)):
+        assert (tmp_path / f"graph-8-12.{ext}").read_text() == render(g) + "\n"

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from tkchar.components import GroupParams, Irr, Red, alpha_root, enumerate_irr
-from tkchar.graph import build_graph, involution_twist, red_coordinate
+from tkchar.components import GroupParams, Irr, Red, alpha_root, enumerate_irr, self_paired
+from tkchar.graph import build_graph, involution_twist
 from tkchar.reps import build_irr, build_red_noncoprime, character
 from tkchar.roots import root
 from tkchar.su2 import UnitaryMatrix, conjugate_by, from_quaternion, sup_diff
@@ -200,9 +200,19 @@ class TestCanonicalRedAngle:
             for i in range(1, (p.d + 1) // 2):
                 if (2 * i) % p.d == 0:
                     continue
-                t = root(3, 4 * p.d * p.a * p.b)  # generic exact angle
+                big = 4 * p.d * p.a * p.b
+                t = root(3, big)  # generic exact angle
                 lam, mu = t**p.b, alpha_root(p, i).conj() * t**p.a
-                t_mirror = red_coordinate(p, (p.d - i) % p.d, lam**-1, mu**-1)
+                # the mirrored character (lam^-1, mu^-1) on circle d - i
+                alpha_mirror = alpha_root(p, p.d - i)
+                hits = [
+                    root(c, big)
+                    for c in range(2 * big)
+                    if root(c, big) ** p.b == lam**-1
+                    and root(c, big) ** p.a == alpha_mirror * mu**-1
+                ]
+                assert len(hits) == 1
+                t_mirror = hits[0]
                 left = canonical_red_angle(p, i, t.angle)
                 right = canonical_red_angle(p, (p.d - i) % p.d, t_mirror.angle)
                 assert left[0] == right[0] == i
@@ -211,6 +221,29 @@ class TestCanonicalRedAngle:
     def test_raw_index_validated(self):
         with pytest.raises(ValueError):
             canonical_red_angle(GroupParams(4, 6), 2, 0.5)
+
+    def test_agrees_with_graph_fold(self):
+        """canonical_red_angle folds every build_graph endpoint to its node.
+
+        Node and interval coordinate agree everywhere.  On the self-paired
+        nodes the two may keep different representatives of t ~ twist/t:
+        the graph keeps the smaller exact angle (its bytes are pinned by
+        sha256), the decoder the angle in [psi, psi + pi], which is the
+        choice that is continuous in float input.  So on those nodes only
+        s = 2cos(theta - psi) is compared, and the angle everywhere else.
+        """
+        for m, n in [(4, 6), (6, 9), (8, 12), (12, 18), (30, 45), (12, 8), (7, 4), (100, 150)]:
+            p = GroupParams(m, n)
+            for arc in build_graph(p).arcs:
+                for ep in arc.endpoints:
+                    node, theta = canonical_red_angle(p, ep.raw_index, ep.t_raw.angle)
+                    assert node == ep.node
+                    if self_paired(ep.node, p.d):
+                        psi = involution_twist(p, ep.node).angle / 2.0
+                        assert 2.0 * math.cos(theta - psi) == pytest.approx(ep.s_real, abs=1e-9)
+                    else:
+                        gap = (theta - ep.t_canonical.angle + math.pi) % (2 * math.pi) - math.pi
+                        assert abs(gap) < 1e-9
 
 
 class TestSamplePair:
