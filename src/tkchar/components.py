@@ -96,13 +96,9 @@ def bezout_coprime(a: int, b: int) -> tuple[int, int]:
     return u, (1 - u * a) // b
 
 
-def xi_root(p: GroupParams) -> RootOfUnity:
-    """The primitive d-th root of unity exp(2*pi*i/d) labeling reducible components."""
-    return root(2, p.d)
-
-
 def alpha_root(p: GroupParams, i: int) -> RootOfUnity:
-    """The fixed b-th root of xi**i used to coordinatize reducible component i.
+    """The fixed b-th root of xi**i, xi = exp(2*pi*i/d), used to coordinatize
+    reducible component i.
 
     With omega = exp(i*pi/(d*a*b)), alpha_i = omega**(2*a*i); then
     alpha_i**b == xi**i exactly.  Builders, the incidence graph and the

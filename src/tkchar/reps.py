@@ -81,12 +81,6 @@ class Word:
             out.append((gen if exp > 0 else gen.upper()) * abs(exp))
         return "".join(out)
 
-    def exponent_sums(self) -> tuple[int, int]:
-        """Total x and y exponents; enough to evaluate on commuting images."""
-        px = sum(e for g, e in self.letters if g == "x")
-        py = sum(e for g, e in self.letters if g == "y")
-        return px, py
-
 
 DEFAULT_WORDS: tuple[Word, ...] = tuple(Word.parse(s) for s in ("x", "y", "xy", "xY", "xyXY"))
 

@@ -50,11 +50,6 @@ class RootOfUnity:
         """Angle in radians, in [0, 2*pi)."""
         return math.pi * self.num / self.den
 
-    @property
-    def is_real(self) -> bool:
-        """True exactly for the two real roots +1 and -1."""
-        return self.den == 1
-
     def to_complex(self) -> complex:
         a = self.angle
         return complex(math.cos(a), math.sin(a))

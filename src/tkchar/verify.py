@@ -11,26 +11,25 @@ its own generator seeded by the pair (seed, index), so the stream for a
 given sample never depends on how many other samples were drawn, by whom,
 or in which thread.
 
-Classification inverts the construction from the matrices alone: the
-commutator trace separates reducible from irreducible, traces pin the
-eigenvalue exponents (k, kp), the eigenvector cross-ratio recovers t, and
-for reducible pairs the eigenvalue pair is matched exactly-nearest against
+Classification inverts the construction from the matrices alone, reading
+every decision from the polar form (half-angle alpha, axis v) of each
+generator: parallel axes separate reducible from irreducible, the angles
+pin the eigenvalue exponents k = alpha*m/pi, the chord between the unit
+axes recovers t, and for reducible pairs (and near-limit irreducible ones)
+the eigenvalue pair on a's eigenline is matched exactly-nearest against
 the component labels xi^i and folded to canonical form.
 
 Everything that depends only on the orders (the irreducible labels, the
-trace ladders with their tolerances, the Bezout pair, the roots alpha_i
-and the involution twists) is built once per (m, n), on first use, and
-shared by every sample of the run.
+Bezout pair, the roots alpha_i and the involution twists) is built once
+per (m, n), on first use, and shared by every sample of the run.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
 import json
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -49,7 +48,7 @@ from .components import (
     self_paired,
 )
 from .graph import _sig12, build_graph, involution_twist
-from .reps import build_irr, build_red_noncoprime, character, cross_ratio_of_pair
+from .reps import build_irr, build_red_noncoprime, character
 from .su2 import (
     DEFAULT_TOL,
     DegenerateError,
@@ -59,6 +58,7 @@ from .su2 import (
     from_quaternion,
     is_reducible_pair,
     mat_pow,
+    polar,
     sup_diff,
     trace,
 )
@@ -67,7 +67,7 @@ RELATION_TOL = 1e-6
 
 
 class AmbiguousDecodeError(ValueError):
-    """Raised when two admissible eigenvalue labels both fit a measured trace."""
+    """Raised when two admissible eigenvalue labels both fit a measured angle."""
 
     def __init__(self, message: str, candidates: tuple[int, ...]):
         super().__init__(message)
@@ -89,6 +89,8 @@ class SampleConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.reducible_fraction <= 1.0:
             raise ValueError("reducible_fraction must lie in [0, 1]")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -160,43 +162,19 @@ def sample_pair(cfg: SampleConfig, index: int) -> tuple[UnitaryMatrix, UnitaryMa
     return conjugate_by(a, conj), conjugate_by(b, conj)
 
 
-def _trace_ladder(order: int) -> list[float]:
-    return [2.0 * math.cos(math.pi * k / order) for k in range(1, order)]
+def _label(alpha: float, order: int, tol: float) -> int:
+    """Nearest admissible eigenvalue exponent k in [1, order - 1] of the
+    half-angle alpha, whose ideal value is pi*k/order.
 
-
-def _ladder_tol(ladder: list[float]) -> float:
-    if len(ladder) < 2:
-        return 1.0
-    return min(abs(u - v) for u, v in zip(ladder, ladder[1:])) / 2.0
-
-
-@functools.cache
-def _ladder(order: int) -> tuple[tuple[float, ...], float]:
-    """The trace ladder of one order and its half-gap tolerance."""
-    ladder = _trace_ladder(order)
-    return tuple(ladder), _ladder_tol(ladder)
-
-
-def _nearest_label(tr: float, order: int) -> int:
-    """Eigenvalue exponent whose ideal trace 2cos(pi*k/order) is nearest tr.
-
-    Raises AmbiguousDecodeError when two labels fit within half the minimal
-    ladder gap (cannot happen for clean inputs; guards corrupted data).
-    The ladder falls strictly with k, so only the two entries around tr's
-    insertion point can be nearest or fit within the tolerance.  On a tie
-    the smaller label wins; far outside [-2, 2] the rounded distances of
-    several labels above tr can tie, hence the walk towards k = 1.
+    Raises AmbiguousDecodeError when x = alpha*order/pi lies within tol of
+    the half-integer between two admissible labels (cannot happen for clean
+    inputs; guards corrupted data).
     """
-    ladder, tol = _ladder(order)
-    j = bisect.bisect_left(ladder, -tr, key=operator.neg)
-    near = [k for k in (j - 1, j) if 0 <= k < len(ladder)]
-    hits = tuple(k + 1 for k in near if abs(tr - ladder[k]) <= tol)
-    if len(hits) > 1:
-        raise AmbiguousDecodeError(f"trace {tr} fits labels {hits}", hits)
-    k = min(near, key=lambda k: abs(tr - ladder[k]))
-    while k > 0 and abs(tr - ladder[k - 1]) == abs(tr - ladder[k]):
-        k -= 1
-    return k + 1
+    x = alpha * order / math.pi
+    j = math.floor(x)
+    if 1 <= j < order - 1 and abs(x - j - 0.5) <= tol:
+        raise AmbiguousDecodeError(f"angle {alpha} fits labels {(j, j + 1)}", (j, j + 1))
+    return min(max(round(x), 1), order - 1)
 
 
 def _wrap(x: float) -> float:
@@ -238,38 +216,20 @@ def canonical_red_angle(p: GroupParams, i_raw: int, theta: float) -> tuple[int, 
     return _decode_red_eigenvalues(p, lam, mu)
 
 
-def _near_central(x: UnitaryMatrix, tol: float) -> bool:
-    return 2.0 - abs(2.0 * x.a.real) <= tol
+def _eigenvalue_pair(a: UnitaryMatrix, b: UnitaryMatrix) -> tuple[complex, complex]:
+    """Eigenvalues (lam, mu) of a and b on a's eigenline for exp(i*alpha_a).
 
-
-def _rayleigh(m: UnitaryMatrix, e) -> complex:
-    """Unit-normalized quadratic form <e, m e> of a unit projective point.
-
-    On an invariant line this is the eigenvalue, and it stays accurate even
-    when m is nearly central (where m's own eigenvectors are ill-conditioned
-    but its eigenvalues are not)."""
-    me = (m.a * e.x - m.b.conjugate() * e.y, m.b * e.x + m.a.conjugate() * e.y)
-    val = e.x.conjugate() * me[0] + e.y.conjugate() * me[1]
-    return val / abs(val)
-
-
-def _common_eigenvalues(
-    a: UnitaryMatrix, b: UnitaryMatrix, tol: float
-) -> tuple[complex, complex]:
-    """Eigenvalue pair of a reducible pair on one shared invariant line.
-
-    The invariant line is read off whichever matrix is farther from central;
-    the other eigenvalue comes from its Rayleigh quotient on that line."""
-    if not _near_central(a, tol):
-        lam, e1, _ = eigen_decompose(a, tol)
-        return lam, _rayleigh(b, e1)
-    if not _near_central(b, tol):
-        mu, e1, _ = eigen_decompose(b, tol)
-        return _rayleigh(a, e1), mu
-    return (
-        complex(1.0 if a.a.real > 0 else -1.0),
-        complex(1.0 if b.a.real > 0 else -1.0),
-    )
+    On a reducible pair this is the common eigenline, where b's eigenvalue
+    is exp(+-i*alpha_b) as the axes point the same way or opposite ways.
+    On an irreducible pair it is the eigenvalue pair of the limit the arc
+    reaches as b's axis turns onto a's (t -> 0) or against it (t -> 1):
+    exact for every t on that half of the arc, since alpha_a, alpha_b and
+    the sign do not move with t.  Near a central element the sign is noise
+    but both choices agree there to the size of the axis.
+    """
+    (alpha_a, va), (alpha_b, vb) = polar(a), polar(b)
+    dot = va[0] * vb[0] + va[1] * vb[1] + va[2] * vb[2]
+    return cmath.exp(1j * alpha_a), cmath.exp(1j * math.copysign(alpha_b, dot))
 
 
 def classify(
@@ -278,28 +238,31 @@ def classify(
     """Recover the component and intrinsic coordinate of a relation-satisfying pair.
 
     coordinate is t in (0, 1) for irreducible points and the canonical
-    circle angle for reducible ones.  The classification residual is the
-    trace distance to the decoded component's ideal traces.
+    circle angle for reducible ones.  For irreducible points t is the
+    squared half-chord |u_a - u_b|^2 / 4 between the unit axes u = v/|v|,
+    which equals r/(r - 1) of the eigenvector cross-ratio r.  The
+    classification residual is the trace distance to the decoded
+    component's ideal traces.
     """
     relation = sup_diff(mat_pow(a, p.m), mat_pow(b, p.n))
     if not relation <= RELATION_TOL:
         raise ValueError(f"pair violates the relation (residual {relation:.3g})")
     if is_reducible_pair(a, b, tol):
-        lam, mu = _common_eigenvalues(a, b, tol)
-        i_can, theta = _decode_red_eigenvalues(p, lam, mu)
+        i_can, theta = _decode_red_eigenvalues(p, *_eigenvalue_pair(a, b))
         lam_ideal = cmath.exp(1j * p.b * theta)
         mu_ideal = _tables(p).alpha_conj[i_can] * cmath.exp(1j * p.a * theta)
         residual = abs(trace(a).real - 2.0 * lam_ideal.real) + abs(
             trace(b).real - 2.0 * mu_ideal.real
         )
         return ClassifiedPoint(Red(i_can), theta, relation, residual)
-    tr_a, tr_b = trace(a).real, trace(b).real
-    k = _nearest_label(tr_a, p.m)
-    kp = _nearest_label(tr_b, p.n)
+    (alpha_a, va), (alpha_b, vb) = polar(a), polar(b)
+    k = _label(alpha_a, p.m, tol)
+    kp = _label(alpha_b, p.n, tol)
     if (k - kp) % 2 != 0:
         raise ValueError(f"decoded labels ({k}, {kp}) violate the parity condition")
-    r = cross_ratio_of_pair(a, b, tol)
-    t = r / (r - 1.0)
+    na, nb = math.hypot(*va), math.hypot(*vb)
+    t = sum((x / na - y / nb) ** 2 for x, y in zip(va, vb)) / 4.0
+    tr_a, tr_b = trace(a).real, trace(b).real
     residual = abs(tr_a - 2.0 * math.cos(math.pi * k / p.m)) + abs(
         tr_b - 2.0 * math.cos(math.pi * kp / p.n)
     )
@@ -357,10 +320,10 @@ def empirical_structure(cfg: SampleConfig) -> dict:
     """Sample, classify, and compare observed structure with the exact graph.
 
     Near-limit irreducible samples (t < 0.02 or t > 0.98) vote for the
-    reducible component they approach: their eigenvalue pair on a shared
-    eigenline goes through the same decoder classify uses for reducible
-    pairs.  The votes reconstruct the arc endpoints empirically; agreement
-    with build_graph is reported per arc.
+    reducible component they approach: their limit eigenvalue pair
+    (_eigenvalue_pair, exact in t) goes through the same decoder classify
+    uses for reducible pairs.  The votes reconstruct the arc endpoints
+    empirically; agreement with build_graph is reported per arc.
     """
     p = cfg.params
     g = build_graph(p)
@@ -390,7 +353,7 @@ def empirical_structure(cfg: SampleConfig) -> dict:
         comp = point.component
         if isinstance(comp, Irr) and not 0.02 <= point.coordinate <= 0.98:
             side = 0 if point.coordinate < 0.02 else 1
-            node = _decode_red_eigenvalues(p, *_common_eigenvalues(a, b, cfg.tol))[0]
+            node = _decode_red_eigenvalues(p, *_eigenvalue_pair(a, b))[0]
             votes[(comp.k, comp.kp)][side][node] += 1
 
     adjacency = []

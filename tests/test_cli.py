@@ -160,6 +160,13 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "seed" in err
 
+    def test_large_order_adjacency(self, capsys):
+        # d = 100: every near-limit vote lands on build_graph's endpoint
+        _, out, _ = run(capsys, "verify", "-m", "200", "-n", "300", "-N", "1000", "--seed", "1")
+        doc = json.loads(out)
+        assert doc["flags"]["adjacency"] is True
+        assert all(arc["ok"] for arc in doc["adjacency"])
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-1", "0"])
     def test_non_positive_or_non_finite_tolerance_usage_error(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("TKCHAR_TOL", raw)
@@ -186,13 +193,13 @@ GOLDEN_SHA256 = {
     ("graph", "-m", "12", "-n", "18", "--format", "json"):
         "569dc0e650fc00514e3610347e2cdb7d26beb6907d11274c967864afa8862a6a",
     ("verify", "-m", "4", "-n", "6", "-N", "2000", "--seed", "7"):
-        "26cbfeef8f48689e762ec40b6632f796b0f3845b49a9530e24611de168dad3ac",
+        "af02774c246177303f446c3e51bafd22cd181754ae8f3e02685f5e7f9beafd7e",
     # d = 6 with the self-paired Red(3)
     ("verify", "-m", "12", "-n", "18", "-N", "2000", "--seed", "5"):
-        "c225adc1661628781b79d2663fd500a0a48d56a88bdaaa9b9e04010b1be739d6",
+        "15936b39d62b7841bfc4dd3ae1e13ada1baa6dc993ba1aa9ce4f1a726ea2e8bd",
     # coprime orders, d = 1
     ("verify", "-m", "7", "-n", "4", "-N", "2000", "--seed", "2"):
-        "af33967062ab0137d8df18be77c1f4d07fb269f5846bcefa24c674888b283950",
+        "7ac2a7f5836372eecc8f92adb7430d06d143f40fb8db392f2181fc06d5d9f18c",
 }
 
 

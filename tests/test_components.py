@@ -25,7 +25,6 @@ from tkchar.components import (
     joining_component,
     self_loops,
     self_paired,
-    xi_root,
 )
 from tkchar.roots import root
 
@@ -101,12 +100,6 @@ class TestTopologyLabels:
     def test_red_coprime_single_interval(self):
         infos = enumerate_red(GroupParams(3, 2))
         assert len(infos) == 1 and infos[0].su2_topology == SU2_INTERVAL
-
-    def test_xi_is_primitive(self):
-        p = GroupParams(6, 9)
-        xi = xi_root(p)
-        powers = {xi**i for i in range(p.d)}
-        assert len(powers) == p.d
 
 
 class TestFolding:

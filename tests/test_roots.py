@@ -94,10 +94,6 @@ class TestArithmetic:
         r = root(7, 9)
         assert cmath.exp(1j * r.angle) == pytest.approx(complex(r), abs=1e-14)
 
-    def test_is_real(self):
-        assert ONE.is_real and MINUS_ONE.is_real
-        assert not root(1, 2).is_real
-
 
 @given(st.integers(-40, 40), st.integers(1, 20), st.integers(-40, 40), st.integers(1, 20))
 def test_product_matches_complex(c1, n1, c2, n2):

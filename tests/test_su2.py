@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tkchar.reps import Word, evaluate_word
 from tkchar.su2 import (
     DegenerateError,
     ProjectivePoint,
     UnitaryMatrix,
-    commutator_trace,
     conjugate_by,
     cross_ratio,
     eigen_decompose,
     from_quaternion,
     is_reducible_pair,
     mat_pow,
+    polar,
     proj_gap,
     sup_diff,
     trace,
@@ -84,12 +85,56 @@ class TestPowersAndTraces:
     def test_commutator_trace_frozen_example(self):
         a = UnitaryMatrix(1j, 0)          # diag(i, -i)
         b = UnitaryMatrix(0, 1)           # [[0, -1], [1, 0]]
-        assert commutator_trace(a, b) == pytest.approx(-2.0, abs=1e-14)
+        assert trace(evaluate_word(Word.parse("xyXY"), a, b)) == pytest.approx(-2.0, abs=1e-14)
 
     def test_commuting_pair_has_commutator_trace_two(self):
         a = UnitaryMatrix(cmath.exp(0.3j), 0)
         b = UnitaryMatrix(cmath.exp(1.1j), 0)
-        assert commutator_trace(a, b) == pytest.approx(2.0, abs=1e-14)
+        assert trace(evaluate_word(Word.parse("xyXY"), a, b)) == pytest.approx(2.0, abs=1e-14)
+
+
+class TestPolar:
+    def test_examples(self):
+        assert polar(UnitaryMatrix.identity()) == (0.0, (0.0, 0.0, 0.0))
+        alpha, v = polar(UnitaryMatrix(-1.0 + 0.0j, 0.0j))
+        assert alpha == math.pi and v == (0.0, 0.0, 0.0)
+        alpha, v = polar(UnitaryMatrix(cmath.exp(0.3j), 0.0j))
+        assert alpha == pytest.approx(0.3, abs=1e-15)
+        assert v == pytest.approx((math.sin(0.3), 0.0, 0.0), abs=1e-15)
+        assert polar(UnitaryMatrix(0.0j, 1j)) == (math.pi / 2, (0.0, 0.0, 1.0))
+
+    def test_eigenvalue_and_axis_length(self):
+        # exp(i*alpha) is an eigenvalue and |v| = sin(alpha), alpha in [0, pi]
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            x = random_su2(rng)
+            alpha, v = polar(x)
+            assert 0.0 <= alpha <= math.pi
+            assert math.hypot(*v) == pytest.approx(math.sin(alpha), abs=1e-14)
+            if 2 - abs(trace(x).real) > 1e-6:
+                lam = eigen_decompose(x)[0]
+                assert cmath.exp(1j * alpha) == pytest.approx(lam, abs=1e-12)
+
+    def test_commutator_trace_is_axis_cross_product(self):
+        # tr[a, b] = 2 - 4|va x vb|^2: the commutator is trivial exactly
+        # when the axes are parallel
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            a, b = random_su2(rng), random_su2(rng)
+            va, vb = np.array(polar(a)[1]), np.array(polar(b)[1])
+            tr = trace(evaluate_word(Word.parse("xyXY"), a, b)).real
+            assert tr == pytest.approx(2 - 4 * np.sum(np.cross(va, vb) ** 2), abs=1e-13)
+
+    def test_invariant_under_conjugation(self):
+        # conjugation keeps alpha and rotates every axis by the same rotation
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            a, b, g = random_su2(rng), random_su2(rng), random_su2(rng)
+            (al_a, va), (al_b, vb) = polar(a), polar(b)
+            (al_a2, va2), (al_b2, vb2) = polar(conjugate_by(a, g)), polar(conjugate_by(b, g))
+            assert al_a2 == pytest.approx(al_a, abs=1e-12)
+            assert al_b2 == pytest.approx(al_b, abs=1e-12)
+            assert np.dot(va2, vb2) == pytest.approx(np.dot(va, vb), abs=1e-13)
 
 
 class TestReducibility:
@@ -99,7 +144,7 @@ class TestReducibility:
         assert is_reducible_pair(a, b)
 
     def test_criterion_matches_common_eigenvector(self):
-        # tr[A,B] = 2 iff the pair shares an eigenvector; checked on a
+        # parallel axes iff the pair shares an eigenvector; checked on a
         # seeded mix of planted-reducible and generic pairs.
         rng = np.random.default_rng(7)
         for trial in range(1000):

@@ -5,23 +5,22 @@ import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from tkchar.components import GroupParams, Irr, Red, alpha_root, enumerate_irr, self_paired
 from tkchar.graph import build_graph, involution_twist
-from tkchar.reps import build_irr, build_red_noncoprime, character
+from tkchar.reps import build_irr, build_red_noncoprime, character, cross_ratio_of_pair
 from tkchar.roots import root
 from tkchar.su2 import UnitaryMatrix, conjugate_by, from_quaternion, sup_diff
 import tkchar.verify
 from tkchar.verify import (
     AmbiguousDecodeError,
     SampleConfig,
-    _common_eigenvalues,
     _decode_red_eigenvalues,
-    _ladder_tol,
-    _nearest_label,
-    _trace_ladder,
+    _eigenvalue_pair,
+    _label,
     canonical_red_angle,
     classify,
     component_key,
@@ -70,62 +69,53 @@ class TestClassifyIrreducible:
             classify(p, a, b)
 
     def test_nearest_label_decodes_ladder(self):
-        for m in range(2, 10):
+        # the 50-digit angle pi*k/m, rounded once to a double, decodes to k
+        # at every label of every order up to 300 and at 1000 and 10000
+        mpmath.mp.dps = 50
+        for m in [*range(2, 301), 1000, 10000]:
             for k in range(1, m):
-                assert _nearest_label(2 * math.cos(math.pi * k / m), m) == k
+                assert _label(float(mpmath.pi * k / m), m, 1e-9) == k, (m, k)
 
     def test_nearest_label_ambiguity(self):
-        # a trace inside both half-gap windows of adjacent labels is refused;
-        # scan a few ulps around the midpoint to land inside both windows
-        ladder = _trace_ladder(3)
-        tol = _ladder_tol(ladder)
-        v = (ladder[0] + ladder[1]) / 2
-        for _ in range(8):
-            if abs(v - ladder[0]) <= tol and abs(v - ladder[1]) <= tol:
-                break
-            v = math.nextafter(v, -math.inf)
-        else:
-            pytest.fail("no representable double-hit trace near the midpoint")
+        # an angle exactly halfway between two admissible labels is refused
+        # with both; halfway towards an inadmissible 0 or m is not
         with pytest.raises(AmbiguousDecodeError) as exc:
-            _nearest_label(v, 3)
+            _label(math.pi / 2, 3, 1e-9)
         assert exc.value.candidates == (1, 2)
+        with pytest.raises(AmbiguousDecodeError) as exc:
+            _label(2.5 * math.pi / 7, 7, 1e-9)
+        assert exc.value.candidates == (2, 3)
+        assert _label(0.5 * math.pi / 7, 7, 1e-9) == 1
+        assert _label(6.5 * math.pi / 7, 7, 1e-9) == 6
+        assert _label(0.0, 7, 1e-9) == 1
+        assert _label(math.pi, 7, 1e-9) == 6
 
-    def test_bisected_decoder_matches_linear_scan(self):
-        # every ladder value, every midpoint and its two float neighbours,
-        # +-2 and traces beyond them: same label, same refusals
-        beyond = [2.0, -2.0, math.nextafter(2.0, 3.0), math.nextafter(-2.0, -3.0)]
-        beyond += [2.5, -2.5, 3.0, -3.0, 1e3, -1e3, 1e20, -1e20]
-        refused = 0
-        for order in range(2, 301):
-            ladder = _trace_ladder(order)
-            mids = [(u + v) / 2 for u, v in zip(ladder, ladder[1:])]
-            near_mids = [math.nextafter(x, s) for x in mids for s in (-math.inf, math.inf)]
-            traces = ladder + mids + near_mids + beyond
-            for tr, want in zip(traces, _linear_scan_labels(traces, order)):
-                try:
-                    got = _nearest_label(tr, order)
-                except AmbiguousDecodeError as exc:
-                    got = ("ambiguous", exc.candidates)
-                    refused += 1
-                assert got == want, (order, tr)
-        assert refused > 0
+    @pytest.mark.parametrize("m, n", [(525, 524), (1000, 999), (3000, 2999), (10000, 9999)])
+    def test_round_trip_large_orders(self, m, n):
+        # small rotation angles (irr:1,1) and the far end (k = m - 1) keep
+        # their labels and coordinate under Haar conjugation at large orders
+        p = GroupParams(m, n)
+        rng = np.random.default_rng(m)
+        labels = [(1, 1), (m // 2, m // 2), (m - 1, n - 1 - (m - n) % 2)]
+        for k, kp in labels:
+            for t in np.linspace(0.05, 0.95, 15):
+                a, b = build_irr(p, k, kp, float(t))
+                g = haar(rng)
+                out = classify(p, conjugate_by(a, g), conjugate_by(b, g))
+                assert out.component == Irr(k, kp), (k, kp, t)
+                assert out.coordinate == pytest.approx(t, abs=1e-6)
 
-
-def _linear_scan_labels(traces: list[float], order: int) -> list:
-    """The linear-scan decoder that the bisection replaced, one trace per
-    row: a trace within the half-gap tolerance of two or more ladder values
-    is refused with those labels, otherwise the label is the first index of
-    the smallest distance."""
-    ladder = _trace_ladder(order)
-    tol = _ladder_tol(ladder)
-    dist = np.abs(np.asarray(traces)[:, None] - np.asarray(ladder)[None, :])
-    hits = dist <= tol
-    labels = dist.argmin(axis=1) + 1
-    out = []
-    for row, label in zip(hits, labels):
-        fits = tuple(int(k) + 1 for k in np.flatnonzero(row))
-        out.append(("ambiguous", fits) if len(fits) > 1 else int(label))
-    return out
+    def test_coordinate_matches_cross_ratio(self):
+        # the axis chord and the eigenvector cross-ratio give the same t
+        for m in range(2, 9):
+            for n in range(2, 9):
+                p = GroupParams(m, n)
+                for comp in enumerate_irr(p):
+                    for t in (0.1, 0.5, 0.9):
+                        a, b = build_irr(p, comp.k, comp.kp, t)
+                        r = cross_ratio_of_pair(a, b)
+                        out = classify(p, a, b)
+                        assert out.coordinate == pytest.approx(r / (r - 1.0), abs=1e-10)
 
 
 class TestClassifyReducible:
@@ -274,6 +264,9 @@ class TestSamplePair:
             SampleConfig(params=GroupParams(3, 2), reducible_fraction=1.5)
         with pytest.raises(ValueError, match="seed"):
             SampleConfig(params=GroupParams(3, 2), seed=-1)
+        for bad in (math.nan, -1.0, 0.0):
+            with pytest.raises(ValueError, match="tol"):
+                SampleConfig(params=GroupParams(3, 2), tol=bad)
 
     def test_non_finite_pair_refused(self):
         # NaN compares false against every bound: the relation check must
@@ -386,17 +379,22 @@ class TestEmpiricalStructure:
         # decoder; it must land on build_graph's endpoint node on both ends
         # of every arc, whatever the conjugation
         rng = np.random.default_rng(20240)
-        for m, n in [(30, 45), (100, 150)]:
+        for (m, n), ts in [
+            ((30, 45), (0.0199, 0.9801)),
+            ((100, 150), (0.0199, 0.9801)),
+            ((200, 300), (0.0199, 0.9801, 0.01, 0.99)),
+            ((300, 450), (0.0199, 0.9801, 0.01, 0.99)),
+        ]:
             p = GroupParams(m, n)
             for arc in build_graph(p).arcs:
                 k, kp = arc.component.k, arc.component.kp
-                for side, t in enumerate((0.0199, 0.9801)):
+                for t in ts:
+                    side = 0 if t < 0.5 else 1
                     a, b = build_irr(p, k, kp, t)
                     g = haar(rng)
                     a, b = conjugate_by(a, g), conjugate_by(b, g)
-                    lam, mu = _common_eigenvalues(a, b, 1e-9)
-                    node = _decode_red_eigenvalues(p, lam, mu)[0]
-                    assert node == arc.endpoints[side].node, ((m, n), (k, kp), side)
+                    node = _decode_red_eigenvalues(p, *_eigenvalue_pair(a, b))[0]
+                    assert node == arc.endpoints[side].node, ((m, n), (k, kp), t)
 
     def test_summary_json_is_strict(self):
         with pytest.raises(ValueError):
