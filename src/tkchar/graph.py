@@ -8,19 +8,23 @@ lam = exp(i*pi*k/m), mu = exp(i*pi*kp/n).  Every coordinate here is a
 RootOfUnity, so endpoint equality and the defining power equations are
 checked exactly.
 
-Canonicalization: every endpoint is exp(i*pi*c/M) for an integer c mod
-2M, M = lcm(m, n) = d*a*b.  On its raw circle i (from attachment) the
+Canonicalization: every endpoint is exp(i*pi*c/M) for c mod 2M,
+M = lcm(m, n) = d*a*b.  On its raw circle i (from attachment) the
 endpoint (lam, mu) = (exp(i*pi*k/m), exp(i*pi*s/n)), with s = kp on the
 first endpoint and s = -kp on the second, is the unique t with t^b = lam
-and t^a = alpha_i * mu: c = a*u*(2i + s) + b*v*k for u*a + v*b = 1, which
-exists iff k - s - 2i == 0 (mod 2d).  Two integer reflections make it
-canonical.  If i exceeds d/2, the mirrored character (lam^-1, mu^-1) on
-component d - i is c -> 2*a*u*d - c.  On self-paired components
-(i == -i mod d) the involution t ~ twist * t^-1 is c -> tau - c, with
-twist = exp(i*pi*tau/M) = alpha_i^(2u), and the smaller of the two is
-kept.  The involution invariant 2*cos(angle(t) - angle(twist)/2) is the
-interval coordinate s_real; for circle nodes s_real is 2*cos(angle(t)) and
-is informational only (the angle itself is the coordinate).
+and t^a = alpha_i * mu, which exists iff h = (k - s)/2 == i (mod d):
+c = a*u*(2i + s) + b*v*k for u*a + v*b = 1, or equally
+c = k - 2*a*u*(h - i).  Two reflections make it canonical.  If i exceeds
+d/2, the mirrored character (lam^-1, mu^-1) on component d - i is
+c -> 2*a*u*d - c.  On self-paired components (i == -i mod d) the
+involution t ~ twist * t^-1 is c -> tau - c, with
+twist = exp(i*pi*tau/M) = alpha_i^(2u), tau = 4*a*u*i, and the smaller
+of c and tau - c mod 2M is kept.  _EndpointRule holds this formula and both
+reflections once; build_graph runs them on exact integers and the verify
+decoder on measured floats.  The involution invariant
+2*cos(angle(t) - angle(twist)/2) is the interval coordinate s_real; for
+circle nodes s_real is 2*cos(angle(t)) and is informational only (the
+angle itself is the coordinate).
 
 Serialization targets the "tkchar-graph/1" layout: a JSON object with
 exactly the fields params / nodes / arcs, plus DOT and schematic SVG
@@ -29,6 +33,7 @@ renderings of the same structure.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,7 +42,6 @@ from .components import (
     ComponentInfo,
     GroupParams,
     Irr,
-    alpha_root,
     attachment,
     bezout_coprime,
     enumerate_irr,
@@ -78,46 +82,73 @@ class IncidenceGraph:
     arcs: tuple[Arc, ...]
 
 
+@dataclass(frozen=True, slots=True)
+class _EndpointRule:
+    """The endpoint formula and fold of one order (see the module
+    docstring), generic over int and float c.
+
+    In float the involution has a branch cut at c = 0 ~ tau: points just
+    either side keep representatives about tau apart, but the node and
+    2*cos(pi*c/M - angle(twist)/2) agree.
+    """
+
+    d: int
+    big: int  # M
+    mirror: int  # 2*a*u*d
+    taus: tuple[int | None, ...]  # per node: tau if self-paired
+
+    def raw(self, k, h: int):
+        """c = k - 2*a*u*(h - i) on raw circle i = h mod d."""
+        return k - self.mirror * (h // self.d)
+
+    def fold(self, i_raw: int, c):
+        """(node, canonical c) of exp(i*pi*c/M) on raw circle i_raw."""
+        if 2 * i_raw > self.d:
+            i_raw, c = self.d - i_raw, self.mirror - c
+        c %= 2 * self.big
+        tau = self.taus[i_raw]
+        if tau is not None:
+            c = min(c, (tau - c) % (2 * self.big))
+        return i_raw, c
+
+
+@functools.cache
+def _endpoint_rule(p: GroupParams) -> _EndpointRule:
+    u, _ = bezout_coprime(p.a, p.b)
+    taus = tuple(4 * p.a * u * i if self_paired(i, p.d) else None for i in range(p.d // 2 + 1))
+    return _EndpointRule(p.d, p.d * p.a * p.b, 2 * p.a * u * p.d, taus)
+
+
 def involution_twist(p: GroupParams, i: int) -> RootOfUnity:
     """Constant c of the involution t ~ c * t^-1 on self-paired component i."""
     if not self_paired(i, p.d):
         raise ValueError(f"component {i} is not self-paired for d={p.d}")
-    u, _ = bezout_coprime(p.a, p.b)
-    return alpha_root(p, i) ** (2 * u)
+    rule = _endpoint_rule(p)
+    return RootOfUnity(rule.taus[i], rule.big)
 
 
 def build_graph(p: GroupParams) -> IncidenceGraph:
     """The full incidence graph with exact attachment coordinates."""
-    big = p.d * p.a * p.b  # lcm(m, n): every endpoint is exp(i*pi*c/big)
-    u, v = bezout_coprime(p.a, p.b)
-    # self-paired node -> (twist numerator over big, twist half-angle)
-    twists = {}
-    for i in range(p.d // 2 + 1):
-        if self_paired(i, p.d):
-            twist = involution_twist(p, i)
-            twists[i] = (twist.num * (big // twist.den), twist.angle / 2.0)
+    rule = _endpoint_rule(p)
+    psi = [0.0 if tau is None else RootOfUnity(tau, rule.big).angle / 2.0 for tau in rule.taus]
 
-    def endpoint(k: int, s: int, i_raw: int, i_can: int) -> AttachmentPoint:
+    def endpoint(k: int, s: int, i_raw: int) -> AttachmentPoint:
         # (exp(i*pi*k/m), exp(i*pi*s/n)) lies on circle i_raw iff
         # lam^a * mu^-b == xi^i_raw
         if (k - s - 2 * i_raw) % (2 * p.d):
             raise RuntimeError(f"endpoint ({k}/{p.m}, {s}/{p.n}) is not on component {i_raw}")
-        c_raw = (p.a * u * (2 * i_raw + s) + p.b * v * k) % (2 * big)
-        c = c_raw if i_can == i_raw else (2 * p.a * u * p.d - c_raw) % (2 * big)
-        psi = 0.0
-        if i_can in twists:
-            tau, psi = twists[i_can]
-            c = min(c, (tau - c) % (2 * big))
-        t_raw = RootOfUnity(c_raw, big)
-        t_can = t_raw if c == c_raw else RootOfUnity(c, big)
-        s_real = 2.0 * math.cos(t_can.angle - psi)
-        return AttachmentPoint(i_can, i_raw, t_raw, t_can, s_real, i_can != i_raw)
+        c_raw = rule.raw(k, (k - s) // 2) % (2 * rule.big)
+        node, c = rule.fold(i_raw, c_raw)
+        t_raw = RootOfUnity(c_raw, rule.big)
+        t_can = t_raw if c == c_raw else RootOfUnity(c, rule.big)
+        s_real = 2.0 * math.cos(t_can.angle - psi[node])
+        return AttachmentPoint(node, i_raw, t_raw, t_can, s_real, node != i_raw)
 
     arcs = []
     for comp in enumerate_irr(p):
-        i0_raw, i1_raw, i0, i1 = attachment(p, comp.k, comp.kp)
-        ep0 = endpoint(comp.k, comp.kp, i0_raw, i0)
-        ep1 = endpoint(comp.k, -comp.kp, i1_raw, i1)
+        i0_raw, i1_raw, _, _ = attachment(p, comp.k, comp.kp)
+        ep0 = endpoint(comp.k, comp.kp, i0_raw)
+        ep1 = endpoint(comp.k, -comp.kp, i1_raw)
         if ep0.node == ep1.node and ep0.t_canonical == ep1.t_canonical:
             raise RuntimeError(f"arc {comp} has coincident endpoints; invariant violated")
         arcs.append(Arc(comp, (ep0, ep1)))

@@ -16,12 +16,12 @@ every decision from the polar form (half-angle alpha, axis v) of each
 generator: parallel axes separate reducible from irreducible, the angles
 pin the eigenvalue exponents k = alpha*m/pi, the chord between the unit
 axes recovers t, and for reducible pairs (and near-limit irreducible ones)
-the eigenvalue pair on a's eigenline is matched exactly-nearest against
-the component labels xi^i and folded to canonical form.
+the eigenvalue angles on a's eigenline go through build_graph's endpoint
+formula and fold rule in float (graph._EndpointRule), so a decoded reducible
+point and an exact graph endpoint are one canonical representative.
 
-Everything that depends only on the orders (the irreducible labels, the
-Bezout pair, the roots alpha_i and the involution twists) is built once
-per (m, n), on first use, and shared by every sample of the run.
+The irreducible labels and the fold rule depend only on the orders; each
+is built once per (m, n), on first use, and shared by every sample.
 """
 
 from __future__ import annotations
@@ -40,14 +40,10 @@ from .components import (
     GroupParams,
     Irr,
     Red,
-    alpha_root,
-    bezout_coprime,
     enumerate_irr,
     enumerate_red,
-    fold_index,
-    self_paired,
 )
-from .graph import _sig12, build_graph, involution_twist
+from .graph import _endpoint_rule, _sig12, build_graph
 from .reps import build_irr, build_red_noncoprime, character
 from .su2 import (
     DEFAULT_TOL,
@@ -74,6 +70,11 @@ class AmbiguousDecodeError(ValueError):
         self.candidates = candidates
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 @dataclass(frozen=True, slots=True)
 class SampleConfig:
     params: GroupParams
@@ -89,8 +90,7 @@ class SampleConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.reducible_fraction <= 1.0:
             raise ValueError("reducible_fraction must lie in [0, 1]")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        _check_tol(self.tol)
 
 
 @functools.lru_cache(maxsize=1)
@@ -101,39 +101,6 @@ def _irr(p: GroupParams) -> tuple[Irr, ...]:
     never needs them.
     """
     return tuple(enumerate_irr(p))
-
-
-@dataclass(frozen=True, slots=True)
-class _OrderTables:
-    """Per-order constants of the reducible decoder; see _tables."""
-
-    bezout: tuple[int, int]
-    alpha: tuple[complex, ...]
-    alpha_conj: tuple[complex, ...]
-    psi: tuple[float | None, ...]
-
-
-@functools.cache
-def _tables(p: GroupParams) -> _OrderTables:
-    """The reducible decoder's O(d) data for one (m, n), built on first use.
-
-    bezout is the pair (u, v) with u*a + v*b == 1.  The other fields are
-    indexed by the raw component i: alpha[i] and alpha_conj[i] are
-    alpha_root(p, i) and its conjugate as complex numbers, and psi[i] is
-    the twist half-angle if i is self-paired (None otherwise).  Each value
-    is computed by the same expression the per-sample code used, so cached
-    and uncached runs agree bit for bit.
-    """
-    roots = [alpha_root(p, i) for i in range(p.d)]
-    return _OrderTables(
-        bezout=bezout_coprime(p.a, p.b),
-        alpha=tuple(r.to_complex() for r in roots),
-        alpha_conj=tuple(r.conj().to_complex() for r in roots),
-        psi=tuple(
-            involution_twist(p, i).angle / 2.0 if self_paired(i, p.d) else None
-            for i in range(p.d)
-        ),
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,47 +144,9 @@ def _label(alpha: float, order: int, tol: float) -> int:
     return min(max(round(x), 1), order - 1)
 
 
-def _wrap(x: float) -> float:
-    """Reduce an angle difference to (-pi, pi]."""
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def _decode_red_eigenvalues(p: GroupParams, lam: complex, mu: complex) -> tuple[int, float]:
-    """(canonical index, canonical angle) from an eigenvalue pair.
-
-    The component index comes from matching lam^a * mu^-b against the exact
-    labels xi^i; folding to i <= d/2 replaces (lam, mu) by the conjugate
-    pair, and on self-paired components the involution picks the angle
-    representative in [psi, psi + pi] around the twist half-angle psi.
-    """
-    tab = _tables(p)
-    zeta = lam ** p.a * mu ** -p.b
-    i_raw = round(cmath.phase(zeta) * p.d / (2.0 * math.pi)) % p.d
-    i_can = fold_index(i_raw, p.d)
-    if i_can != i_raw:
-        lam, mu = lam.conjugate(), mu.conjugate()
-    u, v = tab.bezout
-    t = (tab.alpha[i_can] * mu) ** u * lam ** v
-    theta = cmath.phase(t) % (2.0 * math.pi)
-    psi = tab.psi[i_can]
-    if psi is not None:
-        theta = (psi + abs(_wrap(theta - psi))) % (2.0 * math.pi)
-    return i_can, theta
-
-
-def canonical_red_angle(p: GroupParams, i_raw: int, theta: float) -> tuple[int, float]:
-    """Canonical (component, angle) of the raw circle point exp(i*theta) on
-    raw component i_raw; the pure-angle counterpart of the matrix decoder."""
-    if not 0 <= i_raw < p.d:
-        raise ValueError(f"raw component index {i_raw} outside [0, {p.d})")
-    t = cmath.exp(1j * theta)
-    lam = t ** p.b
-    mu = _tables(p).alpha_conj[i_raw] * t ** p.a
-    return _decode_red_eigenvalues(p, lam, mu)
-
-
-def _eigenvalue_pair(a: UnitaryMatrix, b: UnitaryMatrix) -> tuple[complex, complex]:
-    """Eigenvalues (lam, mu) of a and b on a's eigenline for exp(i*alpha_a).
+def _eigenvalue_pair(a: UnitaryMatrix, b: UnitaryMatrix) -> tuple[float, float]:
+    """Eigenvalue angles (alpha_a, +-alpha_b) of a and b on a's eigenline
+    for exp(i*alpha_a).
 
     On a reducible pair this is the common eigenline, where b's eigenvalue
     is exp(+-i*alpha_b) as the axes point the same way or opposite ways.
@@ -229,7 +158,37 @@ def _eigenvalue_pair(a: UnitaryMatrix, b: UnitaryMatrix) -> tuple[complex, compl
     """
     (alpha_a, va), (alpha_b, vb) = polar(a), polar(b)
     dot = va[0] * vb[0] + va[1] * vb[1] + va[2] * vb[2]
-    return cmath.exp(1j * alpha_a), cmath.exp(1j * math.copysign(alpha_b, dot))
+    return alpha_a, math.copysign(alpha_b, dot)
+
+
+def _decode_red(p: GroupParams, alpha_a: float, alpha_b: float) -> tuple[int, float]:
+    """(canonical index, canonical angle) of the reducible character with
+    eigenvalues (exp(i*alpha_a), exp(i*alpha_b)).
+
+    build_graph's endpoint formula and fold rule, in float: the exponents
+    k = alpha_a*m/pi and s = alpha_b*n/pi put the point on raw circle
+    i = h mod d, h = round((k - s)/2), at exp(i*pi*c/M) with
+    c = k - 2*a*u*(h - i) (_EndpointRule.raw).  That form carries the float
+    noise of k alone; a*u*(2i + s) + b*v*k would scale the noise of s by
+    the Bezout coefficients.
+    """
+    rule = _endpoint_rule(p)
+    k = alpha_a * p.m / math.pi
+    h = round((k - alpha_b * p.n / math.pi) / 2.0)
+    node, c = rule.fold(h % p.d, rule.raw(k, h))
+    return node, math.pi * c / rule.big
+
+
+def canonical_red_angle(p: GroupParams, i_raw: int, theta: float) -> tuple[int, float]:
+    """Canonical (component, angle) of the raw circle point exp(i*theta) on
+    raw component i_raw, folded by the rule of build_graph's endpoints."""
+    if not 0 <= i_raw < p.d:
+        raise ValueError(f"raw component index {i_raw} outside [0, {p.d})")
+    if not math.isfinite(theta):
+        raise ValueError(f"circle angle {theta} is not finite")
+    rule = _endpoint_rule(p)
+    node, c = rule.fold(i_raw, theta * rule.big / math.pi)
+    return node, math.pi * c / rule.big
 
 
 def classify(
@@ -244,15 +203,14 @@ def classify(
     classification residual is the trace distance to the decoded
     component's ideal traces.
     """
+    _check_tol(tol)
     relation = sup_diff(mat_pow(a, p.m), mat_pow(b, p.n))
     if not relation <= RELATION_TOL:
         raise ValueError(f"pair violates the relation (residual {relation:.3g})")
     if is_reducible_pair(a, b, tol):
-        i_can, theta = _decode_red_eigenvalues(p, *_eigenvalue_pair(a, b))
-        lam_ideal = cmath.exp(1j * p.b * theta)
-        mu_ideal = _tables(p).alpha_conj[i_can] * cmath.exp(1j * p.a * theta)
-        residual = abs(trace(a).real - 2.0 * lam_ideal.real) + abs(
-            trace(b).real - 2.0 * mu_ideal.real
+        i_can, theta = _decode_red(p, *_eigenvalue_pair(a, b))
+        residual = abs(trace(a).real - 2.0 * math.cos(p.b * theta)) + abs(
+            trace(b).real - 2.0 * math.cos(p.a * theta - 2.0 * math.pi * i_can / p.n)
         )
         return ClassifiedPoint(Red(i_can), theta, relation, residual)
     (alpha_a, va), (alpha_b, vb) = polar(a), polar(b)
@@ -353,7 +311,7 @@ def empirical_structure(cfg: SampleConfig) -> dict:
         comp = point.component
         if isinstance(comp, Irr) and not 0.02 <= point.coordinate <= 0.98:
             side = 0 if point.coordinate < 0.02 else 1
-            node = _decode_red_eigenvalues(p, *_eigenvalue_pair(a, b))[0]
+            node = _decode_red(p, *_eigenvalue_pair(a, b))[0]
             votes[(comp.k, comp.kp)][side][node] += 1
 
     adjacency = []

@@ -9,8 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from tkchar.components import GroupParams, Irr, Red, alpha_root, enumerate_irr, self_paired
-from tkchar.graph import build_graph, involution_twist
+from tkchar.components import GroupParams, Irr, Red, alpha_root, enumerate_irr
+from tkchar.graph import _endpoint_rule, build_graph, involution_twist
 from tkchar.reps import build_irr, build_red_noncoprime, character, cross_ratio_of_pair
 from tkchar.roots import root
 from tkchar.su2 import UnitaryMatrix, conjugate_by, from_quaternion, sup_diff
@@ -18,7 +18,7 @@ import tkchar.verify
 from tkchar.verify import (
     AmbiguousDecodeError,
     SampleConfig,
-    _decode_red_eigenvalues,
+    _decode_red,
     _eigenvalue_pair,
     _label,
     canonical_red_angle,
@@ -212,28 +212,50 @@ class TestCanonicalRedAngle:
         with pytest.raises(ValueError):
             canonical_red_angle(GroupParams(4, 6), 2, 0.5)
 
-    def test_agrees_with_graph_fold(self):
-        """canonical_red_angle folds every build_graph endpoint to its node.
+    def test_non_finite_angle_refused(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"angle {bad} is not finite"):
+                canonical_red_angle(GroupParams(4, 6), 1, bad)
 
-        Node and interval coordinate agree everywhere.  On the self-paired
-        nodes the two may keep different representatives of t ~ twist/t:
-        the graph keeps the smaller exact angle (its bytes are pinned by
-        sha256), the decoder the angle in [psi, psi + pi], which is the
-        choice that is continuous in float input.  So on those nodes only
-        s = 2cos(theta - psi) is compared, and the angle everywhere else.
-        """
+    def test_agrees_with_graph_fold(self):
+        """canonical_red_angle folds every build_graph endpoint to its node
+        and to the same representative, self-paired nodes included."""
         for m, n in [(4, 6), (6, 9), (8, 12), (12, 18), (30, 45), (12, 8), (7, 4), (100, 150)]:
             p = GroupParams(m, n)
             for arc in build_graph(p).arcs:
                 for ep in arc.endpoints:
                     node, theta = canonical_red_angle(p, ep.raw_index, ep.t_raw.angle)
                     assert node == ep.node
-                    if self_paired(ep.node, p.d):
-                        psi = involution_twist(p, ep.node).angle / 2.0
-                        assert 2.0 * math.cos(theta - psi) == pytest.approx(ep.s_real, abs=1e-9)
-                    else:
-                        gap = (theta - ep.t_canonical.angle + math.pi) % (2 * math.pi) - math.pi
-                        assert abs(gap) < 1e-9
+                    assert abs(theta - ep.t_canonical.angle) < 1e-12, ((m, n), ep)
+
+    def test_fold_rule_same_on_int_and_float(self):
+        # the rule build_graph runs on exact integers gives the same answer
+        # on the same numerators as floats
+        for m, n in [(6, 9), (5, 3), (8, 12), (12, 18), (4, 6), (7, 4)]:
+            p = GroupParams(m, n)
+            rule = _endpoint_rule(p)
+            for arc in build_graph(p).arcs:
+                for ep in arc.endpoints:
+                    c = ep.t_raw.num * (rule.big // ep.t_raw.den)
+                    node, c_int = rule.fold(ep.raw_index, c)
+                    c_can = ep.t_canonical.num * (rule.big // ep.t_canonical.den)
+                    assert (node, c_int) == (ep.node, c_can)
+                    assert rule.fold(ep.raw_index, float(c)) == (node, float(c_int))
+
+    def test_float_branch_cut(self):
+        # Red(1) of (4,6): tau = 16 over M = 12, so the involution's cut is at
+        # c = 0 ~ 16.  Points just either side keep representatives about tau
+        # apart but the same node and interval coordinate 2cos(theta - psi).
+        p = GroupParams(4, 6)
+        rule = _endpoint_rule(p)
+        assert (rule.big, rule.taus[1]) == (12, 16)
+        psi = involution_twist(p, 1).angle / 2.0
+        (node_lo, th_lo), (node_hi, th_hi) = (
+            canonical_red_angle(p, 1, math.pi * c / rule.big) for c in (-1e-9, 1e-9)
+        )
+        assert node_lo == node_hi == 1
+        assert abs((th_lo - th_hi) * rule.big / math.pi - 16) < 1e-6
+        assert 2 * math.cos(th_lo - psi) == pytest.approx(2 * math.cos(th_hi - psi), abs=1e-8)
 
 
 class TestSamplePair:
@@ -267,6 +289,14 @@ class TestSamplePair:
         for bad in (math.nan, -1.0, 0.0):
             with pytest.raises(ValueError, match="tol"):
                 SampleConfig(params=GroupParams(3, 2), tol=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_classify_tolerance_validated(self, bad):
+        # the tolerance SampleConfig refuses is refused by classify too
+        p = GroupParams(4, 6)
+        a, b = build_red_noncoprime(p, 1, cmath.exp(0.3j))
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            classify(p, a, b, tol=bad)
 
     def test_non_finite_pair_refused(self):
         # NaN compares false against every bound: the relation check must
@@ -393,7 +423,7 @@ class TestEmpiricalStructure:
                     a, b = build_irr(p, k, kp, t)
                     g = haar(rng)
                     a, b = conjugate_by(a, g), conjugate_by(b, g)
-                    node = _decode_red_eigenvalues(p, *_eigenvalue_pair(a, b))[0]
+                    node = _decode_red(p, *_eigenvalue_pair(a, b))[0]
                     assert node == arc.endpoints[side].node, ((m, n), (k, kp), t)
 
     def test_summary_json_is_strict(self):
