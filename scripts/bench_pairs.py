@@ -3,7 +3,8 @@
 Runs `perfbench/run.py` of each tree (from that tree's root) on every
 workload of BENCHMARK.json for its run_seconds, alternating which tree
 goes first in each pair, once per seed 1..10 and once more on the
-held-out seed 424242; then one traced run per tree on verify_30_45.
+held-out seed 424242; then, per workload, one traced process per tree
+(a run of 0 seconds, which is one untraced and one traced process).
 Writes a JSON record with the machine, every run's end-to-end metrics,
 the median, quartiles and spread (q3 - q1) / median of each metric per
 tree with the status perfbench/steady.py prints ("unresolved" when the
@@ -12,7 +13,7 @@ spread exceeds the metric's bound, else "ok"), the ratio of the medians
 Progress goes to stderr.
 
 Usage:
-    python3 scripts/bench_pairs.py --before ../parent --after . --out BENCH_4.json
+    python3 scripts/bench_pairs.py --before ../parent --after . --out BENCH_9.json
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from steady import machine, summarize  # noqa: E402
 
 PAIRS = 10
 HELDOUT_SEED = 424242
-TRACE_WORKLOAD = "verify_30_45"
 
 
 def run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -80,8 +80,8 @@ def main() -> int:
             entry["median_ratio"][key] = medians[0] / medians[1] if medians[1] else None
         record["workloads"][name] = entry
     record["traced"] = {
-        "workload": TRACE_WORKLOAD,
-        **{side: run(tree, TRACE_WORKLOAD, 1, seconds, 1) for side, tree in trees.items()},
+        w["name"]: {side: run(tree, w["name"], 1, 0, 1) for side, tree in trees.items()}
+        for w in bench["workloads"]
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0

@@ -15,7 +15,6 @@ flags.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from .graph import build_graph, to_dot, to_json, to_svg_schematic
 from .reps import DEFAULT_WORDS, Word, build_irr, build_red_noncoprime, evaluate_word
 from .roots import root
 from .su2 import DEFAULT_TOL, trace
-from .verify import SampleConfig, empirical_structure, summary_to_json
+from .verify import SampleConfig, check_tol, empirical_structure, summary_to_json
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -182,11 +181,9 @@ def main(argv: list[str] | None = None) -> int:
     raw_tol = os.environ.get("TKCHAR_TOL")
     try:
         tol = float(raw_tol) if raw_tol is not None else DEFAULT_TOL
-    except ValueError:
-        print(f"error: TKCHAR_TOL must be a number, got {raw_tol!r}", file=sys.stderr)
-        return 2
-    if not (math.isfinite(tol) and tol > 0.0):
-        print(f"error: TKCHAR_TOL must be finite and > 0, got {raw_tol!r}", file=sys.stderr)
+        check_tol(tol)
+    except ValueError as exc:
+        print(f"error: TKCHAR_TOL={raw_tol!r}: {exc}", file=sys.stderr)
         return 2
     try:
         return args.func(args, tol)

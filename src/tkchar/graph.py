@@ -4,47 +4,50 @@ intervals attach to which reducible components, with exact coordinates.
 Nodes are the reducible components Red(0) .. Red(floor(d/2)); each
 irreducible component (k, kp) contributes one arc whose closure meets the
 reducible locus at the two eigenvalue pairs (lam, mu) and (lam, mu^-1),
-lam = exp(i*pi*k/m), mu = exp(i*pi*kp/n).  Every coordinate here is a
-RootOfUnity, so endpoint equality and the defining power equations are
-checked exactly.
+lam = exp(i*pi*k/m), mu = exp(i*pi*kp/n).  Every coordinate here is an
+exact integer: build_graph computes the endpoints of all arcs at once as
+numpy int64 arrays, so endpoint equality and the defining power equations
+are checked exactly.  RootOfUnity is the view: IncidenceGraph.arcs builds
+Arc / AttachmentPoint / RootOfUnity objects on first access for the library
+API, and no serializer needs them.
 
 Canonicalization: every endpoint is exp(i*pi*c/M) for c mod 2M,
-M = lcm(m, n) = d*a*b.  On its raw circle i (from attachment) the
-endpoint (lam, mu) = (exp(i*pi*k/m), exp(i*pi*s/n)), with s = kp on the
-first endpoint and s = -kp on the second, is the unique t with t^b = lam
-and t^a = alpha_i * mu, which exists iff h = (k - s)/2 == i (mod d):
-c = a*u*(2i + s) + b*v*k for u*a + v*b = 1, or equally
+M = lcm(m, n) = d*a*b.  On its raw circle i = h mod d (the raw index of
+components.attachment) the endpoint (lam, mu) = (exp(i*pi*k/m),
+exp(i*pi*s/n)), with s = kp on the first endpoint and s = -kp on the
+second and h = (k - s)/2, is the unique t with t^b = lam and
+t^a = alpha_i * mu: c = a*u*(2i + s) + b*v*k for u*a + v*b = 1, or equally
 c = k - 2*a*u*(h - i).  Two reflections make it canonical.  If i exceeds
 d/2, the mirrored character (lam^-1, mu^-1) on component d - i is
 c -> 2*a*u*d - c.  On self-paired components (i == -i mod d) the
 involution t ~ twist * t^-1 is c -> tau - c, with
 twist = exp(i*pi*tau/M) = alpha_i^(2u), tau = 4*a*u*i, and the smaller
 of c and tau - c mod 2M is kept.  _EndpointRule holds this formula and both
-reflections once; build_graph runs them on exact integers and the verify
-decoder on measured floats.  The involution invariant
+reflections once; build_graph runs them elementwise on int64 arrays and the
+verify decoder on measured floats.  The involution invariant
 2*cos(angle(t) - angle(twist)/2) is the interval coordinate s_real; for
 circle nodes s_real is 2*cos(angle(t)) and is informational only (the
 angle itself is the coordinate).
 
 Serialization targets the "tkchar-graph/1" layout: a JSON object with
-exactly the fields params / nodes / arcs, plus DOT and schematic SVG
-renderings of the same structure.
+exactly the fields params / nodes / arcs, written directly from the arrays
+in the layout of json.dumps(indent=2, sort_keys=True), plus DOT and
+schematic SVG renderings of the same structure.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .components import (
     ComponentInfo,
     GroupParams,
     Irr,
-    attachment,
     bezout_coprime,
-    enumerate_irr,
     enumerate_red,
     self_paired,
 )
@@ -75,17 +78,57 @@ class Arc:
     endpoints: tuple[AttachmentPoint, AttachmentPoint]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceGraph:
+    """Nodes and arcs of one order, the arcs as read-only arrays.
+
+    Arc j is Irr(k[j], kp[j]), in enumerate_irr's order.  The endpoint
+    arrays have shape (arcs, 2); side 0 is the endpoint at mu, side 1 the
+    one at mu^-1.  raw is the raw circle index, c_raw the numerator of
+    t_raw = exp(i*pi*c_raw/M) in [0, 2M), node the canonical component,
+    num/den the folded t_canonical = exp(i*pi*num/den) in lowest terms and
+    s_real the interval coordinate (positional cosine on circle nodes).
+    """
+
     params: GroupParams
     nodes: tuple[ComponentInfo, ...]
-    arcs: tuple[Arc, ...]
+    k: np.ndarray
+    kp: np.ndarray
+    raw: np.ndarray
+    c_raw: np.ndarray
+    node: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+    s_real: np.ndarray
+
+    @functools.cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs as Arc / AttachmentPoint / RootOfUnity objects, built
+        from the arrays on first access."""
+        big = _endpoint_rule(self.params).big
+        columns = (self.raw, self.c_raw, self.node, self.num, self.den, self.s_real)
+        return tuple(
+            Arc(
+                Irr(k, kp),
+                tuple(
+                    AttachmentPoint(
+                        node[j], raw[j], RootOfUnity(c_raw[j], big),
+                        RootOfUnity(num[j], den[j]), s_real[j], node[j] != raw[j],
+                    )
+                    for j in (0, 1)
+                ),
+            )
+            for k, kp, (raw, c_raw, node, num, den, s_real) in zip(
+                self.k.tolist(), self.kp.tolist(), zip(*(a.tolist() for a in columns))
+            )
+        )
 
 
 @dataclass(frozen=True, slots=True)
 class _EndpointRule:
     """The endpoint formula and fold of one order (see the module
-    docstring), generic over int and float c.
+    docstring), generic over int and float c; fold_all is fold over int64
+    arrays.
 
     In float the involution has a branch cut at c = 0 ~ tau: points just
     either side keep representatives about tau apart, but the node and
@@ -97,7 +140,7 @@ class _EndpointRule:
     mirror: int  # 2*a*u*d
     taus: tuple[int | None, ...]  # per node: tau if self-paired
 
-    def raw(self, k, h: int):
+    def raw(self, k, h):
         """c = k - 2*a*u*(h - i) on raw circle i = h mod d."""
         return k - self.mirror * (h // self.d)
 
@@ -110,6 +153,15 @@ class _EndpointRule:
         if tau is not None:
             c = min(c, (tau - c) % (2 * self.big))
         return i_raw, c
+
+    def fold_all(self, i_raw: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """fold, elementwise over int64 arrays of raw circles and numerators."""
+        mirrored = 2 * i_raw > self.d
+        node = np.where(mirrored, self.d - i_raw, i_raw)
+        c = np.where(mirrored, self.mirror - c, c) % (2 * self.big)
+        paired = np.array([tau is not None for tau in self.taus])[node]
+        tau = np.array([tau or 0 for tau in self.taus])[node]
+        return node, np.where(paired, np.minimum(c, (tau - c) % (2 * self.big)), c)
 
 
 @functools.cache
@@ -128,31 +180,47 @@ def involution_twist(p: GroupParams, i: int) -> RootOfUnity:
 
 
 def build_graph(p: GroupParams) -> IncidenceGraph:
-    """The full incidence graph with exact attachment coordinates."""
+    """The full incidence graph with exact attachment coordinates.
+
+    Every endpoint is computed at once in int64, which is exact: no
+    intermediate exceeds 2M*(m + n) in size.
+    """
     rule = _endpoint_rule(p)
-    psi = [0.0 if tau is None else RootOfUnity(tau, rule.big).angle / 2.0 for tau in rule.taus]
-
-    def endpoint(k: int, s: int, i_raw: int) -> AttachmentPoint:
-        # (exp(i*pi*k/m), exp(i*pi*s/n)) lies on circle i_raw iff
-        # lam^a * mu^-b == xi^i_raw
-        if (k - s - 2 * i_raw) % (2 * p.d):
-            raise RuntimeError(f"endpoint ({k}/{p.m}, {s}/{p.n}) is not on component {i_raw}")
-        c_raw = rule.raw(k, (k - s) // 2) % (2 * rule.big)
-        node, c = rule.fold(i_raw, c_raw)
-        t_raw = RootOfUnity(c_raw, rule.big)
-        t_can = t_raw if c == c_raw else RootOfUnity(c, rule.big)
-        s_real = 2.0 * math.cos(t_can.angle - psi[node])
-        return AttachmentPoint(node, i_raw, t_raw, t_can, s_real, node != i_raw)
-
-    arcs = []
-    for comp in enumerate_irr(p):
-        i0_raw, i1_raw, _, _ = attachment(p, comp.k, comp.kp)
-        ep0 = endpoint(comp.k, comp.kp, i0_raw)
-        ep1 = endpoint(comp.k, -comp.kp, i1_raw)
-        if ep0.node == ep1.node and ep0.t_canonical == ep1.t_canonical:
-            raise RuntimeError(f"arc {comp} has coincident endpoints; invariant violated")
-        arcs.append(Arc(comp, (ep0, ep1)))
-    return IncidenceGraph(p, tuple(enumerate_red(p)), tuple(arcs))
+    k, kp = np.meshgrid(np.arange(1, p.m), np.arange(1, p.n), indexing="ij")
+    keep = (k - kp) % 2 == 0
+    k, kp = k[keep], kp[keep]
+    kk, s = k[:, None], np.stack([kp, -kp], axis=1)
+    h = (kk - s) // 2
+    raw = h % p.d
+    c_raw = rule.raw(kk, h) % (2 * rule.big)
+    # t = exp(i*pi*c/M) has t^b = lam iff c == k (mod 2m), and
+    # t^a = alpha_raw * mu iff c == 2*raw + s (mod 2n)
+    off = ((c_raw - kk) % (2 * p.m) != 0) | ((c_raw - 2 * raw - s) % (2 * p.n) != 0)
+    if off.any():
+        j, side = np.argwhere(off)[0]
+        raise RuntimeError(
+            f"endpoint ({k[j]}/{p.m}, {s[j, side]}/{p.n}) is not on component {raw[j, side]}"
+        )
+    node, c = rule.fold_all(raw, c_raw)
+    same = (node[:, 0] == node[:, 1]) & (c[:, 0] == c[:, 1])
+    if same.any():
+        j = np.argmax(same)
+        raise RuntimeError(
+            f"arc {Irr(int(k[j]), int(kp[j]))} has coincident endpoints; invariant violated"
+        )
+    g = np.gcd(c, rule.big)
+    num, den = c // g, rule.big // g
+    # RootOfUnity(num, den).angle's operations in its order, then math.cos
+    # per element, so s_real is bit-identical to the scalar definition
+    psi = np.array(
+        [0.0 if tau is None else RootOfUnity(tau, rule.big).angle / 2.0 for tau in rule.taus]
+    )
+    x = np.pi * num / den - psi[node]
+    s_real = 2.0 * np.fromiter(map(math.cos, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    arrays = (k, kp, raw, c_raw, node, num, den, s_real)
+    for a in arrays:
+        a.flags.writeable = False
+    return IncidenceGraph(p, tuple(enumerate_red(p)), *arrays)
 
 
 def is_connected(g: IncidenceGraph) -> bool:
@@ -160,8 +228,7 @@ def is_connected(g: IncidenceGraph) -> bool:
     if not g.nodes:
         return True
     adjacency: dict[int, set[int]] = {info.id.i: set() for info in g.nodes}
-    for arc in g.arcs:
-        n0, n1 = arc.endpoints[0].node, arc.endpoints[1].node
+    for n0, n1 in g.node.tolist():
         adjacency[n0].add(n1)
         adjacency[n1].add(n0)
     seen = {g.nodes[0].id.i}
@@ -178,20 +245,17 @@ def is_connected(g: IncidenceGraph) -> bool:
 def shared_endpoints(g: IncidenceGraph) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Pairs of distinct (arc index, side) whose attachment points coincide.
 
-    Whether different arcs may share an endpoint is reported, not asserted;
-    coprime orders provably never produce coincidences (tested), the general
-    case is left to the data.
+    Each pair is (first, later): the first endpoint in (arc, side) order at
+    that (node, num, den) and a later one, ordered by the later.  Whether
+    different arcs may share an endpoint is reported, not asserted; coprime
+    orders provably never produce coincidences (tested), the general case
+    is left to the data.
     """
-    seen: dict[tuple[int, RootOfUnity], tuple[int, int]] = {}
-    collisions = []
-    for ai, arc in enumerate(g.arcs):
-        for side, ep in enumerate(arc.endpoints):
-            key = (ep.node, ep.t_canonical)
-            if key in seen:
-                collisions.append((seen[key], (ai, side)))
-            else:
-                seen[key] = (ai, side)
-    return collisions
+    keys = np.stack([g.node, g.num, g.den], axis=-1).reshape(-1, 3)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    owner = first[inverse.ravel()]
+    later = np.flatnonzero(owner != np.arange(len(keys)))
+    return [(divmod(int(owner[f]), 2), divmod(int(f), 2)) for f in later]
 
 
 def _sig12(x: float) -> float:
@@ -199,31 +263,66 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+_JSON_ARC = """    {
+      "endpoints": [
+        {
+          "node": %d,
+          "s_real": %s,
+          "t_den": %d,
+          "t_num": %d
+        },
+        {
+          "node": %d,
+          "s_real": %s,
+          "t_den": %d,
+          "t_num": %d
+        }
+      ],
+      "k": %d,
+      "kp": %d
+    }"""
+
+_JSON_NODE = """    {
+      "id": %d,
+      "topology": "%s"
+    }"""
+
+_JSON_DOC = """{
+  "arcs": %s,
+  "nodes": %s,
+  "params": {
+    "d": %d,
+    "m": %d,
+    "n": %d
+  }
+}"""
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def to_json(g: IncidenceGraph) -> str:
-    """"tkchar-graph/1" document: exactly the fields params, nodes, arcs."""
-    doc = {
-        "params": {"m": g.params.m, "n": g.params.n, "d": g.params.d},
-        "nodes": [
-            {"id": info.id.i, "topology": info.su2_topology} for info in g.nodes
-        ],
-        "arcs": [
-            {
-                "k": arc.component.k,
-                "kp": arc.component.kp,
-                "endpoints": [
-                    {
-                        "node": ep.node,
-                        "t_num": ep.t_canonical.num,
-                        "t_den": ep.t_canonical.den,
-                        "s_real": _sig12(ep.s_real),
-                    }
-                    for ep in arc.endpoints
-                ],
-            }
-            for arc in g.arcs
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    """"tkchar-graph/1" document: exactly the fields params, nodes, arcs,
+    in the layout of json.dumps(indent=2, sort_keys=True); s_real is the
+    repr of its 12-significant-digit rounding.
+
+    Raises ValueError on a non-finite s_real, which strict JSON cannot hold.
+    """
+    if not np.isfinite(g.s_real).all():
+        raise ValueError("s_real holds a non-finite value; strict JSON cannot represent it")
+    # endpoints shared between arcs repeat their s_real: format each value
+    # once, keyed by its bits so that 0.0 and -0.0 stay apart
+    bits, which = np.unique(np.ascontiguousarray(g.s_real).view(np.int64), return_inverse=True)
+    text = [repr(_sig12(x)) for x in bits.view(np.float64).tolist()]
+    s_real = [text[i] for i in which.ravel().tolist()]
+    columns = [a[:, side].tolist() for side in (0, 1) for a in (g.node, g.den, g.num)]
+    node0, den0, num0, node1, den1, num1 = columns
+    rows = zip(node0, s_real[0::2], den0, num0, node1, s_real[1::2], den1, num1,
+               g.k.tolist(), g.kp.tolist())
+    arcs = [_JSON_ARC % row for row in rows]
+    nodes = [_JSON_NODE % (info.id.i, info.su2_topology) for info in g.nodes]
+    return _JSON_DOC % (_json_list(arcs), _json_list(nodes), g.params.d, g.params.m, g.params.n)
 
 
 def to_dot(g: IncidenceGraph) -> str:
@@ -237,21 +336,21 @@ def to_dot(g: IncidenceGraph) -> str:
         lines.append(
             f'  red{info.id.i} [shape={shape}, label="Red({info.id.i}) {info.su2_topology}"];'
         )
-    for arc in g.arcs:
-        ep0, ep1 = arc.endpoints
+    for k, kp, (n0, n1), (s0, s1) in zip(
+        g.k.tolist(), g.kp.tolist(), g.node.tolist(), g.s_real.tolist()
+    ):
         lines.append(
-            f"  red{ep0.node} -- red{ep1.node} "
-            f'[label="({arc.component.k},{arc.component.kp}) '
-            f's0={_sig12(ep0.s_real):.6g} s1={_sig12(ep1.s_real):.6g}"];'
+            f"  red{n0} -- red{n1} "
+            f'[label="({k},{kp}) s0={_sig12(s0):.6g} s1={_sig12(s1):.6g}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _anchor(info: ComponentInfo, ep: AttachmentPoint, y: float) -> tuple[float, float]:
-    if info.su2_topology == "closed-interval":
-        return 80.0 + 520.0 * (ep.s_real + 2.0) / 4.0, y
-    ang = ep.t_canonical.angle
+def _anchor(topology: str, s_real: float, num: int, den: int, y: float) -> tuple[float, float]:
+    if topology == "closed-interval":
+        return 80.0 + 520.0 * (s_real + 2.0) / 4.0, y
+    ang = math.pi * num / den
     return 340.0 + 48.0 * math.cos(ang), y - 48.0 * math.sin(ang)
 
 
@@ -260,7 +359,7 @@ def to_svg_schematic(g: IncidenceGraph) -> str:
     circles, arcs as cubic curves anchored at their attachment points."""
     node_y = {info.id.i: 110.0 + 150.0 * idx for idx, info in enumerate(g.nodes)}
     height = int(150 * len(g.nodes) + 80)
-    info_by_id = {info.id.i: info for info in g.nodes}
+    topology = {info.id.i: info.su2_topology for info in g.nodes}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="680" height="{height}" '
         f'viewBox="0 0 680 {height}" font-family="sans-serif">',
@@ -280,10 +379,11 @@ def to_svg_schematic(g: IncidenceGraph) -> str:
                 'fill="none" stroke="black" stroke-width="2"/>'
             )
         parts.append(f'  <text x="20.00" y="{y - 58:.2f}" font-size="12">{label}</text>')
-    for idx, arc in enumerate(g.arcs):
-        ep0, ep1 = arc.endpoints
-        x0, y0 = _anchor(info_by_id[ep0.node], ep0, node_y[ep0.node])
-        x1, y1 = _anchor(info_by_id[ep1.node], ep1, node_y[ep1.node])
+    ends = zip(g.node.tolist(), g.s_real.tolist(), g.num.tolist(), g.den.tolist())
+    for idx, (k, kp, (node, s_real, num, den)) in enumerate(zip(g.k.tolist(), g.kp.tolist(), ends)):
+        (x0, y0), (x1, y1) = (
+            _anchor(topology[node[j]], s_real[j], num[j], den[j], node_y[node[j]]) for j in (0, 1)
+        )
         lift = 34.0 + 16.0 * idx
         c0y, c1y = y0 - lift, y1 - lift
         parts.append(
@@ -295,7 +395,7 @@ def to_svg_schematic(g: IncidenceGraph) -> str:
         lx, ly = (x0 + x1) / 2.0, min(c0y, c1y) - 3.0
         parts.append(
             f'  <text x="{lx:.2f}" y="{ly:.2f}" font-size="10" fill="#3465a4">'
-            f"({arc.component.k},{arc.component.kp})</text>"
+            f"({k},{kp})</text>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -70,7 +70,8 @@ class AmbiguousDecodeError(ValueError):
         self.candidates = candidates
 
 
-def _check_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
+    """The one tolerance rule: finite and > 0, else ValueError."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
@@ -90,7 +91,7 @@ class SampleConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.reducible_fraction <= 1.0:
             raise ValueError("reducible_fraction must lie in [0, 1]")
-        _check_tol(self.tol)
+        check_tol(self.tol)
 
 
 @functools.lru_cache(maxsize=1)
@@ -203,7 +204,7 @@ def classify(
     classification residual is the trace distance to the decoded
     component's ideal traces.
     """
-    _check_tol(tol)
+    check_tol(tol)
     relation = sup_diff(mat_pow(a, p.m), mat_pow(b, p.n))
     if not relation <= RELATION_TOL:
         raise ValueError(f"pair violates the relation (residual {relation:.3g})")
@@ -290,10 +291,9 @@ def empirical_structure(cfg: SampleConfig) -> dict:
         + [component_key(c) for c in _irr(p)]
     )
 
+    labels = list(zip(g.k.tolist(), g.kp.tolist()))
     counts: Counter[str] = Counter()
-    votes: dict[tuple[int, int], list[Counter]] = {
-        (arc.component.k, arc.component.kp): [Counter(), Counter()] for arc in g.arcs
-    }
+    votes: dict[tuple[int, int], list[Counter]] = {key: [Counter(), Counter()] for key in labels}
     max_relation = 0.0
     max_classification = 0.0
     decode_errors = 0
@@ -316,9 +316,7 @@ def empirical_structure(cfg: SampleConfig) -> dict:
 
     adjacency = []
     adjacency_ok = True
-    for arc in g.arcs:
-        key = (arc.component.k, arc.component.kp)
-        expected_nodes = [arc.endpoints[0].node, arc.endpoints[1].node]
+    for key, expected_nodes in zip(labels, g.node.tolist()):
         arc_ok = True
         observed = []
         for side in (0, 1):

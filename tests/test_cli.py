@@ -194,6 +194,9 @@ GOLDEN_SHA256 = {
         "9226fd4d71594f5a3f81143e0963b96832c56f880565a7cef995b9e8cc7cb77f",
     ("graph", "-m", "12", "-n", "18", "--format", "json"):
         "569dc0e650fc00514e3610347e2cdb7d26beb6907d11274c967864afa8862a6a",
+    # the benchmark's graph_200_300 document (29,751 arcs, 9.6 MB)
+    ("graph", "-m", "200", "-n", "300", "--format", "json"):
+        "28f60741a6232195e9b8010290291860559635255dbc3a9af2237f4ca34a1aa1",
     ("verify", "-m", "4", "-n", "6", "-N", "2000", "--seed", "7"):
         "e6e206b02d22b22ea09a54d09b25d687c90c8fe88ab225e4a0721a9f6cb5267c",
     # d = 6 with the self-paired Red(3)

@@ -1,8 +1,10 @@
 """Incidence graph: exact attachment points, folding, serialization."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import tkchar.graph
@@ -11,13 +13,11 @@ from tkchar.components import (
     alpha_root,
     attachment,
     count_irr,
-    enumerate_red,
-    fold_index,
     joining_component,
     self_paired,
 )
 from tkchar.graph import (
-    IncidenceGraph,
+    _endpoint_rule,
     build_graph,
     involution_twist,
     is_connected,
@@ -26,7 +26,55 @@ from tkchar.graph import (
     to_json,
     to_svg_schematic,
 )
-from tkchar.roots import ONE, root
+from tkchar.roots import ONE, RootOfUnity, root
+
+SWEEP = [(m, n) for m in range(2, 41) for n in range(2, 41)]
+ARRAYS = ("k", "kp", "raw", "c_raw", "node", "num", "den", "s_real")
+
+
+def without_arcs(g):
+    """The same nodes with every arc array cut to length zero."""
+    return dataclasses.replace(g, **{name: getattr(g, name)[:0] for name in ARRAYS})
+
+
+def reference_json(g):
+    """The dict + json.dumps serializer the direct writer replaced: the byte
+    reference for to_json."""
+    ends = zip(*(getattr(g, name).tolist() for name in ("node", "num", "den", "s_real")))
+    doc = {
+        "params": {"m": g.params.m, "n": g.params.n, "d": g.params.d},
+        "nodes": [{"id": info.id.i, "topology": info.su2_topology} for info in g.nodes],
+        "arcs": [
+            {
+                "k": k,
+                "kp": kp,
+                "endpoints": [
+                    {
+                        "node": node[j],
+                        "t_num": num[j],
+                        "t_den": den[j],
+                        "s_real": float(f"{s_real[j]:.12g}"),
+                    }
+                    for j in (0, 1)
+                ],
+            }
+            for k, kp, (node, num, den, s_real) in zip(g.k.tolist(), g.kp.tolist(), ends)
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+def reference_shared_endpoints(g):
+    """Object scan in (arc, side) order: the reference for the group-by."""
+    seen, collisions = {}, []
+    for ai, arc in enumerate(g.arcs):
+        for side, ep in enumerate(arc.endpoints):
+            key = (ep.node, ep.t_canonical)
+            if key in seen:
+                collisions.append((seen[key], (ai, side)))
+            else:
+                seen[key] = (ai, side)
+    return collisions
 
 
 def brute_force_endpoint(k, m, k2, n):
@@ -126,14 +174,36 @@ class TestExactness:
                 assert ep1.t_raw == brute_force_endpoint(k, m, 2 * n - kp, n)
 
     def test_endpoint_membership_validated(self, monkeypatch):
-        # an endpoint handed a raw circle its eigenvalues do not lie on is refused
-        def shifted(p, k, kp):
-            i0, i1, _, c1 = attachment(p, k, kp)
-            return (i0 + 1) % p.d, i1, fold_index(i0 + 1, p.d), c1
+        # an endpoint formula that misses a power equation is refused: at
+        # (6, 9), wherever h >= d, a mirror off by 2 breaks t^a = alpha*mu
+        # (c off 2*raw + s mod 18) and one off by 18 breaks t^b = lam (c off
+        # k mod 12)
+        rule = _endpoint_rule(GroupParams(6, 9))
+        for shift in (2, 18):
+            shifted = dataclasses.replace(rule, mirror=rule.mirror + shift)
+            monkeypatch.setattr(tkchar.graph, "_endpoint_rule", lambda p: shifted)
+            with pytest.raises(RuntimeError, match="is not on component"):
+                build_graph(GroupParams(6, 9))
 
-        monkeypatch.setattr(tkchar.graph, "attachment", shifted)
-        with pytest.raises(RuntimeError, match="is not on component"):
-            build_graph(GroupParams(6, 9))
+    def test_arrays_match_scalar_rule(self):
+        # per endpoint: _EndpointRule.fold on exact ints gives node and
+        # canonical c, RootOfUnity(c, M) gives num/den in lowest terms, and
+        # s_real is bit-identical to 2*math.cos(angle - psi)
+        for m, n in SWEEP:
+            p = GroupParams(m, n)
+            g, rule = build_graph(p), _endpoint_rule(p)
+            psi = [
+                involution_twist(p, i).angle / 2.0 if self_paired(i, p.d) else 0.0
+                for i in range(len(g.nodes))
+            ]
+            columns = ("raw", "c_raw", "node", "num", "den", "s_real")
+            for raw, c_raw, node, num, den, s_real in zip(
+                *(getattr(g, name).ravel().tolist() for name in columns)
+            ):
+                node_s, c = rule.fold(raw, c_raw)
+                t = RootOfUnity(c, rule.big)
+                assert (node, num, den) == (node_s, t.num, t.den), (m, n)
+                assert s_real == 2.0 * math.cos(t.angle - psi[node]), (m, n)
 
     def test_involution_twist_guard(self):
         p = GroupParams(6, 9)  # d = 3: only component 0 is self-paired
@@ -165,12 +235,12 @@ class TestStructure:
 
     def test_disconnected_without_arcs(self):
         p = GroupParams(4, 6)
-        bare = IncidenceGraph(p, tuple(enumerate_red(p)), ())
+        bare = without_arcs(build_graph(p))
         assert not is_connected(bare)
 
     def test_single_node_trivially_connected(self):
         p = GroupParams(3, 2)
-        bare = IncidenceGraph(p, tuple(enumerate_red(p)), ())
+        bare = without_arcs(build_graph(p))
         assert is_connected(bare)
 
     def test_every_node_pair_joined_by_formula_arc(self):
@@ -189,6 +259,35 @@ class TestStructure:
         for m, n in [(3, 2), (5, 3), (5, 4), (7, 3), (8, 3), (7, 2), (9, 4)]:
             assert math.gcd(m, n) == 1
             assert shared_endpoints(build_graph(GroupParams(m, n))) == []
+
+    def test_shared_endpoints_group_by_matches_object_scan(self):
+        # the real graphs share no endpoint, non-coprime orders included
+        for m, n in [(4, 6), (8, 12), (12, 18), (6, 9), (10, 10)]:
+            g = build_graph(GroupParams(m, n))
+            assert shared_endpoints(g) == reference_shared_endpoints(g) == [], (m, n)
+
+    def test_shared_endpoints_reports_planted_coincidences(self):
+        # copy endpoints onto others: a three-way coincidence, one within an
+        # arc and one onto an earlier endpoint; pairs are (first, later),
+        # ordered by the later
+        g = build_graph(GroupParams(12, 18))
+        cols = {name: getattr(g, name).copy() for name in ("node", "num", "den", "c_raw", "raw")}
+        plants = [((5, 1), (2, 0)), ((5, 1), (40, 1)), ((7, 0), (7, 1)), ((3, 0), (1, 1))]
+        for (a0, s0), (a1, s1) in plants:
+            for col in cols.values():
+                col[a1, s1] = col[a0, s0]
+        planted = dataclasses.replace(g, **cols)
+        shared = shared_endpoints(planted)
+        assert shared == reference_shared_endpoints(planted)
+        assert shared == [((1, 1), (3, 0)), ((2, 0), (5, 1)), ((7, 0), (7, 1)), ((2, 0), (40, 1))]
+
+    def test_shared_endpoints_without_arcs(self):
+        assert shared_endpoints(without_arcs(build_graph(GroupParams(4, 6)))) == []
+
+    def test_arrays_read_only(self):
+        g = build_graph(GroupParams(4, 6))
+        with pytest.raises(ValueError):
+            g.s_real[0, 0] = 0.0
 
     def test_attachment_nodes_match_component_combinatorics(self):
         for m, n in [(4, 6), (6, 9), (8, 12), (9, 3)]:
@@ -218,6 +317,28 @@ class TestSerialization:
         a = to_json(build_graph(GroupParams(8, 12)))
         b = to_json(build_graph(GroupParams(8, 12)))
         assert a == b
+
+    def test_json_bytes_match_reference_serializer(self):
+        for m, n in SWEEP:
+            g = build_graph(GroupParams(m, n))
+            assert to_json(g) == reference_json(g), (m, n)
+
+    def test_json_without_arcs_matches_reference(self):
+        bare = without_arcs(build_graph(GroupParams(6, 9)))
+        assert to_json(bare) == reference_json(bare)
+
+    def test_json_signed_zero_kept(self):
+        g = build_graph(GroupParams(3, 2))
+        g = dataclasses.replace(g, s_real=np.array([[0.0, -0.0]]))
+        assert to_json(g) == reference_json(g)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_non_finite_s_real(self, bad):
+        g = build_graph(GroupParams(4, 6))
+        s_real = g.s_real.copy()
+        s_real[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            to_json(dataclasses.replace(g, s_real=s_real))
 
     def test_dot_shape(self):
         dot = to_dot(build_graph(GroupParams(4, 6)))
