@@ -127,8 +127,8 @@ class IncidenceGraph:
 @dataclass(frozen=True, slots=True)
 class _EndpointRule:
     """The endpoint formula and fold of one order (see the module
-    docstring), generic over int and float c; fold_all is fold over int64
-    arrays.
+    docstring), generic over int and float c; fold_all is fold over arrays
+    (int64 c in build_graph, float64 c in the batched verify decoder).
 
     In float the involution has a branch cut at c = 0 ~ tau: points just
     either side keep representatives about tau apart, but the node and
@@ -155,7 +155,8 @@ class _EndpointRule:
         return i_raw, c
 
     def fold_all(self, i_raw: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """fold, elementwise over int64 arrays of raw circles and numerators."""
+        """fold, elementwise over int64 raw circles and int64 or float64
+        numerators (np.minimum and np.mod agree with min and % on both)."""
         mirrored = 2 * i_raw > self.d
         node = np.where(mirrored, self.d - i_raw, i_raw)
         c = np.where(mirrored, self.mirror - c, c) % (2 * self.big)

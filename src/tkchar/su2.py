@@ -15,6 +15,10 @@ and orients the canonical eigenvalue to the upper half circle (Im > 0).
 The cross-ratio convention is fixed so that the eigenvector quadruple
 [1:0], [0:1], [a:b], [-conj(b):conj(a)] evaluates to t/(t-1) with
 t = |b|**2.
+
+_qmul_arrays, _qpow_arrays and _sup_diff_arrays are _qmul, mat_pow and
+sup_diff over float64 arrays of many elements, equal to them bit for bit;
+the batched verify kernel runs on them.
 """
 
 from __future__ import annotations
@@ -135,6 +139,57 @@ def is_reducible_pair(a: UnitaryMatrix, b: UnitaryMatrix, tol: float = DEFAULT_T
 def sup_diff(x: UnitaryMatrix, y: UnitaryMatrix) -> float:
     """Entrywise sup-norm distance between two 2x2 matrices."""
     return max(abs(u - v) for u, v in zip(x.entries(), y.entries()))
+
+
+# The batched forms below hold N elements as four float64 arrays
+# (Re a, Im a, Re b, Im b).  Each complex product is spelled the way CPython
+# computes it, in separate real ufuncs, and each conjugate as a negated
+# imaginary part, so every element agrees with the scalar form bit for bit
+# (numpy's complex128 product rounds differently).
+QuaternionArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _cmul(xr, xi, yr, yi):
+    """CPython's complex product (xr + i*xi) * (yr + i*yi), as (re, im)."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _qmul_arrays(x: QuaternionArrays, y: QuaternionArrays) -> QuaternionArrays:
+    """_qmul elementwise over quaternion arrays (Re a, Im a, Re b, Im b)."""
+    xar, xai, xbr, xbi = x
+    yar, yai, ybr, ybi = y
+    pr, pi = _cmul(xar, xai, yar, yai)  # xa * ya
+    qr, qi = _cmul(xbr, -xbi, ybr, ybi)  # conj(xb) * yb
+    rr, ri = _cmul(xbr, xbi, yar, yai)  # xb * ya
+    sr, si = _cmul(xar, -xai, ybr, ybi)  # conj(xa) * yb
+    return pr - qr, pi - qi, rr + sr, ri + si
+
+
+def _qpow_arrays(x: QuaternionArrays, k: int) -> QuaternionArrays:
+    """mat_pow's binary ladder for k >= 0 over quaternion arrays."""
+    zero = np.zeros_like(x[0])
+    r = (np.ones_like(x[0]), zero, zero, zero)
+    while k:
+        if k & 1:
+            r = _qmul_arrays(r, x)
+        k >>= 1
+        if k:
+            x = _qmul_arrays(x, x)
+    return r
+
+
+def _sup_diff_arrays(x: QuaternionArrays, y: QuaternionArrays) -> np.ndarray:
+    """sup_diff elementwise over quaternion arrays, with max's NaN rule."""
+
+    def entries(q):  # (re, im) of a, -conj(b), b, conj(a)
+        ar, ai, br, bi = q
+        return (ar, ai), (-br, bi), (br, bi), (ar, -ai)
+
+    # np.hypot is C hypot, as abs(complex) is
+    out, *rest = (np.hypot(ur - vr, ui - vi) for (ur, ui), (vr, vi) in zip(entries(x), entries(y)))
+    for diff in rest:
+        out = np.where(diff > out, diff, out)
+    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,7 +9,8 @@ an option since the solution set has measure zero in SU(2) x SU(2).
 Randomness is reproducible and order-independent: each sample index gets
 its own generator seeded by the pair (seed, index), so the stream for a
 given sample never depends on how many other samples were drawn, by whom,
-or in which thread.
+or in which thread.  _draw makes that generator's calls, in order, for
+one index; it is the one definition of the stream.
 
 Classification inverts the construction from the matrices alone, reading
 every decision from the polar form (half-angle alpha, axis v) of each
@@ -20,8 +21,19 @@ the eigenvalue angles on a's eigenline go through build_graph's endpoint
 formula and fold rule in float (graph._EndpointRule), so a decoded reducible
 point and an exact graph endpoint are one canonical representative.
 
-The irreducible labels and the fold rule depend only on the orders; each
-is built once per (m, n), on first use, and shared by every sample.
+The irreducible labels, their eigenvalue tables and the fold rule depend
+only on the orders; each is built once per (m, n), on first use, and shared
+by every sample.
+
+sample_pair and classify are the scalar reference and library API.
+empirical_structure runs the same stream through a chunked pipeline
+instead, CHUNK samples at a time: the draws, one _draw per index; the
+builders, as float64 quaternion arrays (reducible draws still one
+build_red_noncoprime call each); the kernel, which conjugates, checks the
+relation and classifies every pair of the chunk at once; and the tally of
+counts, residual maxima and adjacency votes.  Each array element repeats
+the scalar path's floating-point operations in the same order, so the
+summary is byte for byte what a loop over sample_pair and classify gives.
 """
 
 from __future__ import annotations
@@ -45,10 +57,14 @@ from .components import (
 )
 from .graph import _endpoint_rule, _sig12, build_graph
 from .reps import build_irr, build_red_noncoprime, character
+from .roots import root
 from .su2 import (
     DEFAULT_TOL,
-    DegenerateError,
+    QuaternionArrays,
     UnitaryMatrix,
+    _qmul_arrays,
+    _qpow_arrays,
+    _sup_diff_arrays,
     conjugate_by,
     eigen_decompose,
     from_quaternion,
@@ -59,7 +75,18 @@ from .su2 import (
     trace,
 )
 
+# Fixed thresholds, read by the scalar classify and the batched kernel alike:
+# classify refuses a pair whose relation residual exceeds RELATION_TOL, and
+# the "residuals" flag of a summary holds when no sample failed to decode,
+# the largest relation residual is at most RESIDUALS_FLAG_RELATION and the
+# largest classification residual at most RESIDUALS_FLAG_CLASSIFICATION.
 RELATION_TOL = 1e-6
+RESIDUALS_FLAG_RELATION = 1e-9
+RESIDUALS_FLAG_CLASSIFICATION = 1e-6
+
+# Samples per batch of empirical_structure: bounds the batch's arrays, so
+# peak memory does not grow with the sample count.
+CHUNK = 512
 
 
 class AmbiguousDecodeError(ValueError):
@@ -105,6 +132,49 @@ def _irr(p: GroupParams) -> tuple[Irr, ...]:
 
 
 @dataclass(frozen=True, slots=True)
+class _IrrTables:
+    """The per-order numbers the batched builder and kernel look up.
+
+    k and kp label the irreducible components in _irr's order; lam and mu
+    are (Re, Im) of root(k, m) and root(kp, n) per exponent, as build_irr
+    makes them; two_cos_m and two_cos_n are 2*cos(pi*k/m) and
+    2*cos(pi*kp/n) per exponent, as classify's residual computes them.
+    """
+
+    k: np.ndarray
+    kp: np.ndarray
+    lam: tuple[np.ndarray, np.ndarray]
+    mu: tuple[np.ndarray, np.ndarray]
+    two_cos_m: np.ndarray
+    two_cos_n: np.ndarray
+
+
+def _circle_table(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re and Im of exp(i*pi*k/order) and 2*cos(pi*k/order), per k."""
+    roots = [root(k, order).to_complex() for k in range(order)]
+    return (
+        np.array([z.real for z in roots]),
+        np.array([z.imag for z in roots]),
+        np.array([2.0 * math.cos(math.pi * k / order) for k in range(order)]),
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _irr_tables(p: GroupParams) -> _IrrTables:
+    comps = _irr(p)
+    lam_re, lam_im, two_cos_m = _circle_table(p.m)
+    mu_re, mu_im, two_cos_n = _circle_table(p.n)
+    return _IrrTables(
+        np.array([c.k for c in comps], dtype=np.int64),
+        np.array([c.kp for c in comps], dtype=np.int64),
+        (lam_re, lam_im),
+        (mu_re, mu_im),
+        two_cos_m,
+        two_cos_n,
+    )
+
+
+@dataclass(frozen=True, slots=True)
 class ClassifiedPoint:
     component: ComponentId
     coordinate: float
@@ -112,20 +182,30 @@ class ClassifiedPoint:
     classification_residual: float
 
 
-def sample_pair(cfg: SampleConfig, index: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
-    """The index-th sample of the configured stream: a pair satisfying the relation."""
+def _draw(cfg: SampleConfig, index: int) -> tuple[bool, int, float, np.ndarray]:
+    """The index-th draw of the stream, (reducible, j, u, g): the Generator
+    calls, in their order, that define every sample.
+
+    j is the raw reducible circle or the index into _irr(p), u the uniform
+    that becomes the circle angle 2*pi*u or the coordinate t, and g the
+    four Gaussians of the Haar conjugator.
+    """
     p = cfg.params
     rng = np.random.default_rng((cfg.seed, index))
     if rng.random() < cfg.reducible_fraction:
-        i = int(rng.integers(0, p.d // 2 + 1))
-        theta = 2.0 * math.pi * rng.random()
-        a, b = build_red_noncoprime(p, i, cmath.exp(1j * theta))
+        return True, int(rng.integers(0, p.d // 2 + 1)), rng.random(), rng.normal(size=4)
+    return False, int(rng.integers(len(_irr(p)))), rng.random(), rng.normal(size=4)
+
+
+def sample_pair(cfg: SampleConfig, index: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
+    """The index-th sample of the configured stream: a pair satisfying the relation."""
+    p = cfg.params
+    reducible, j, u, g = _draw(cfg, index)
+    if reducible:
+        a, b = build_red_noncoprime(p, j, cmath.exp(1j * (2.0 * math.pi * u)))
     else:
-        comps = _irr(p)
-        comp = comps[int(rng.integers(len(comps)))]
-        t = min(max(rng.random(), 1e-12), 1.0 - 1e-12)
-        a, b = build_irr(p, comp.k, comp.kp, t)
-    g = rng.normal(size=4)
+        comp = _irr(p)[j]
+        a, b = build_irr(p, comp.k, comp.kp, min(max(u, 1e-12), 1.0 - 1e-12))
     conj = from_quaternion(complex(g[0], g[1]), complex(g[2], g[3]))
     return conjugate_by(a, conj), conjugate_by(b, conj)
 
@@ -228,6 +308,147 @@ def classify(
     return ClassifiedPoint(Irr(k, kp), t, relation, residual)
 
 
+# --- batched oracle ----------------------------------------------------------
+#
+# empirical_structure runs the stream in batches of CHUNK samples, each held
+# as quaternion arrays (Re a, Im a, Re b, Im b) of float64.  sample_pair and
+# classify stay the reference: every array element equals what they compute,
+# bit for bit, because each step repeats their floating-point operations in
+# the same order.  Where numpy's routine rounds differently from the math
+# module's (atan2, cos, 3-argument hypot) or from Python's x ** 2, the call
+# is made per element in Python.
+
+
+def _per_element(f, *columns: np.ndarray) -> np.ndarray:
+    """f over Python floats of float64 arrays, element by element."""
+    return np.array(list(map(f, *(c.tolist() for c in columns))), dtype=float)
+
+
+def _sample_arrays(cfg: SampleConfig, indices: range) -> tuple[QuaternionArrays, QuaternionArrays]:
+    """sample_pair(cfg, i) for every i in indices, as two quaternion arrays."""
+    p = cfg.params
+    reducible, j, u, g = zip(*(_draw(cfg, i) for i in indices))
+    a = tuple(np.zeros(len(indices)) for _ in range(4))
+    b = tuple(np.zeros(len(indices)) for _ in range(4))
+
+    # Reducible draws one at a time: t ** b in build_red_noncoprime is
+    # CPython's complex power, repeated squaring up to |b| = 100, exp/log beyond.
+    for pos in np.flatnonzero(reducible).tolist():
+        x, y = build_red_noncoprime(p, j[pos], cmath.exp(1j * (2.0 * math.pi * u[pos])))
+        for q, z in ((a, x), (b, y)):
+            q[0][pos], q[1][pos], q[2][pos], q[3][pos] = z.a.real, z.a.imag, z.b.real, z.b.imag
+
+    # build_irr: a = diag(lam), b = rot @ diag(mu) @ rot.inv() with
+    # rot = (sqrt(1 - t), sqrt(t)) as complex numbers
+    irr = np.flatnonzero(np.logical_not(reducible))
+    tables = _irr_tables(p)
+    comp = np.array(j, dtype=np.int64)[irr]
+    k, kp = tables.k[comp], tables.kp[comp]
+    t = np.minimum(np.maximum(np.array(u)[irr], 1e-12), 1.0 - 1e-12)
+    c, s = np.sqrt(1.0 - t), np.sqrt(t)
+    zero = np.zeros(irr.size)
+    mu = (tables.mu[0][kp], tables.mu[1][kp], zero, zero)
+    rotated = _qmul_arrays(_qmul_arrays((c, zero, s, zero), mu), (c, -zero, -s, -zero))
+    for q, z in ((a, (tables.lam[0][k], tables.lam[1][k], zero, zero)), (b, rotated)):
+        for column, values in zip(q, z):
+            column[irr] = values
+
+    # from_quaternion: nrm = sqrt(abs(x)**2 + abs(y)**2) (np.hypot is C
+    # hypot, as abs(complex) is), then CPython's complex / float, which
+    # divides x + i*y as (x + y*0.0, y - x*0.0) / nrm
+    g0, g1, g2, g3 = np.array(g).T
+    nrm = _per_element(lambda x, y: math.sqrt(x**2 + y**2), np.hypot(g0, g1), np.hypot(g2, g3))
+    if (nrm < 1e-9).any():
+        raise ValueError("zero-norm quaternion")
+    conj = tuple(
+        part / nrm for part in (g0 + g1 * 0.0, g1 - g0 * 0.0, g2 + g3 * 0.0, g3 - g2 * 0.0)
+    )
+    inverse = (conj[0], -conj[1], -conj[2], -conj[3])
+    return tuple(_qmul_arrays(_qmul_arrays(conj, q), inverse) for q in (a, b))
+
+
+@dataclass(frozen=True, slots=True)
+class _Classified:
+    """classify over quaternion arrays, one entry per pair.
+
+    failed marks the pairs classify refuses (relation, ambiguous label,
+    parity); every other field is meaningful only where failed is False.
+    A reducible pair is on Red(node) at angle coordinate; an irreducible
+    one is on Irr(k, kp) at t = coordinate, and node is the reducible
+    component its limit eigenvalue pair decodes to (the adjacency vote).
+    """
+
+    failed: np.ndarray
+    reducible: np.ndarray
+    k: np.ndarray
+    kp: np.ndarray
+    node: np.ndarray
+    coordinate: np.ndarray
+    relation: np.ndarray
+    residual: np.ndarray
+
+
+def _labels(alpha: np.ndarray, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_label elementwise: (labels, ambiguous)."""
+    x = alpha * order / math.pi
+    j = np.floor(x)
+    ambiguous = (1 <= j) & (j < order - 1) & (np.abs(x - j - 0.5) <= tol)
+    return np.clip(np.rint(x), 1, order - 1).astype(np.int64), ambiguous
+
+
+def _classify_arrays(
+    p: GroupParams, a: QuaternionArrays, b: QuaternionArrays, tol: float
+) -> _Classified:
+    """classify over quaternion arrays a and b (see _Classified)."""
+    check_tol(tol)
+    with np.errstate(all="ignore"):
+        relation = _sup_diff_arrays(_qpow_arrays(a, p.m), _qpow_arrays(b, p.n))
+        failed = ~(relation <= RELATION_TOL)
+        # a pair past the relation gate is finite; the refused ones are
+        # zeroed so that no NaN reaches the decoders
+        a, b = (tuple(np.where(failed, 0.0, x) for x in q) for q in (a, b))
+
+        # polar forms and the axis test (su2.polar, is_reducible_pair)
+        (x1, y1, z1), (x2, y2, z2) = va, vb = a[1:], b[1:]
+        na, nb = _per_element(math.hypot, *va), _per_element(math.hypot, *vb)
+        alpha_a, alpha_b = _per_element(math.atan2, na, a[0]), _per_element(math.atan2, nb, b[0])
+        cross = _per_element(math.hypot, y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+        reducible = cross <= tol * (na + nb)
+
+        # the eigenvalue pair on a's eigenline through the fold rule
+        # (_eigenvalue_pair, _decode_red)
+        rule = _endpoint_rule(p)
+        beta = np.copysign(alpha_b, x1 * x2 + y1 * y2 + z1 * z2)
+        kf = alpha_a * p.m / math.pi
+        h = np.rint((kf - beta * p.n / math.pi) / 2.0).astype(np.int64)
+        node, c = rule.fold_all(h % p.d, rule.raw(kf, h))
+        theta = math.pi * c / rule.big
+
+        k, ambiguous_k = _labels(alpha_a, p.m, tol)
+        kp, ambiguous_kp = _labels(alpha_b, p.n, tol)
+        failed |= ~reducible & (ambiguous_k | ambiguous_kp | ((k - kp) % 2 != 0))
+        # sum() of the three squares adds them left to right
+        chord = (x / na - y / nb for x, y in zip(va, vb))
+        t = _per_element(lambda x, y, z: x**2 + y**2 + z**2, *chord) / 4.0
+
+        tr_a, tr_b = 2.0 * a[0], 2.0 * b[0]
+        red_residual = np.abs(tr_a - 2.0 * _per_element(math.cos, p.b * theta)) + np.abs(
+            tr_b - 2.0 * _per_element(math.cos, p.a * theta - 2.0 * math.pi * node / p.n)
+        )
+        tables = _irr_tables(p)
+        irr_residual = np.abs(tr_a - tables.two_cos_m[k]) + np.abs(tr_b - tables.two_cos_n[kp])
+    return _Classified(
+        failed,
+        reducible,
+        k,
+        kp,
+        node,
+        np.where(reducible, theta, t),
+        relation,
+        np.where(reducible, red_residual, irr_residual),
+    )
+
+
 def find_conjugator(
     a: UnitaryMatrix,
     b: UnitaryMatrix,
@@ -283,6 +504,9 @@ def empirical_structure(cfg: SampleConfig) -> dict:
     (_eigenvalue_pair, exact in t) goes through the same decoder classify
     uses for reducible pairs.  The votes reconstruct the arc endpoints
     empirically; agreement with build_graph is reported per arc.
+
+    The samples go through the batched pipeline CHUNK at a time, with the
+    summary a loop over sample_pair and classify would give.
     """
     p = cfg.params
     g = build_graph(p)
@@ -292,27 +516,38 @@ def empirical_structure(cfg: SampleConfig) -> dict:
     )
 
     labels = list(zip(g.k.tolist(), g.kp.tolist()))
-    counts: Counter[str] = Counter()
+    red_counts: Counter[int] = Counter()
+    irr_counts: Counter[tuple[int, int]] = Counter()
     votes: dict[tuple[int, int], list[Counter]] = {key: [Counter(), Counter()] for key in labels}
     max_relation = 0.0
     max_classification = 0.0
     decode_errors = 0
 
-    for index in range(cfg.sample_count):
-        a, b = sample_pair(cfg, index)
-        try:
-            point = classify(p, a, b, cfg.tol)
-        except (DegenerateError, AmbiguousDecodeError, ValueError):
-            decode_errors += 1
-            continue
-        counts[component_key(point.component)] += 1
-        max_relation = max(max_relation, point.relation_residual)
-        max_classification = max(max_classification, point.classification_residual)
-        comp = point.component
-        if isinstance(comp, Irr) and not 0.02 <= point.coordinate <= 0.98:
-            side = 0 if point.coordinate < 0.02 else 1
-            node = _decode_red(p, *_eigenvalue_pair(a, b))[0]
-            votes[(comp.k, comp.kp)][side][node] += 1
+    for start in range(0, cfg.sample_count, CHUNK):
+        out = _classify_arrays(
+            p, *_sample_arrays(cfg, range(start, min(start + CHUNK, cfg.sample_count))), cfg.tol
+        )
+        ok = ~out.failed
+        decode_errors += int(out.failed.sum())
+        # max over the samples in index order, as a running max() would take it
+        max_relation = max([max_relation, *out.relation[ok].tolist()])
+        max_classification = max([max_classification, *out.residual[ok].tolist()])
+        red, irr = ok & out.reducible, ok & ~out.reducible
+        red_counts.update(out.node[red].tolist())
+        irr_counts.update(zip(out.k[irr].tolist(), out.kp[irr].tolist()))
+        # votes in index order, so most_common breaks ties as one sample at a time would
+        t = out.coordinate
+        vote = irr & ~((0.02 <= t) & (t <= 0.98))
+        for k, kp, side, node in zip(
+            out.k[vote].tolist(),
+            out.kp[vote].tolist(),
+            np.where(t[vote] < 0.02, 0, 1).tolist(),
+            out.node[vote].tolist(),
+        ):
+            votes[(k, kp)][side][node] += 1
+    counts = {component_key(Red(i)): cnt for i, cnt in red_counts.items()} | {
+        component_key(Irr(*key)): cnt for key, cnt in irr_counts.items()
+    }
 
     adjacency = []
     adjacency_ok = True
@@ -340,8 +575,8 @@ def empirical_structure(cfg: SampleConfig) -> dict:
         "components": sorted(counts) == expected,
         "adjacency": adjacency_ok,
         "residuals": decode_errors == 0
-        and max_relation <= 1e-9
-        and max_classification <= 1e-6,
+        and max_relation <= RESIDUALS_FLAG_RELATION
+        and max_classification <= RESIDUALS_FLAG_CLASSIFICATION,
     }
     return {
         "schema": "tkchar-verify/1",

@@ -205,6 +205,12 @@ GOLDEN_SHA256 = {
     # coprime orders, d = 1
     ("verify", "-m", "7", "-n", "4", "-N", "2000", "--seed", "2"):
         "37c810d0e91dc480383e70cb81d21b40998fa301e873c40c96969c84d06e0073",
+    # |a| or |b| > 100: the reducible builder's t ** b switches from repeated
+    # multiplication to exp/log in CPython's complex power
+    ("verify", "-m", "2", "-n", "202", "-N", "2000", "--seed", "1"):
+        "7fc2a66b538063ccb99087f22aacc0e21de14b1d78987218b36de4b72b1764d8",
+    ("verify", "-m", "202", "-n", "2", "-N", "2000", "--seed", "1"):
+        "6c7d930e6611966b5350a8c82f2018c1731c4b44aace85c602fd7beef65580c7",
 }
 
 

@@ -12,6 +12,10 @@ from tkchar.su2 import (
     DegenerateError,
     ProjectivePoint,
     UnitaryMatrix,
+    _qmul,
+    _qmul_arrays,
+    _qpow_arrays,
+    _sup_diff_arrays,
     conjugate_by,
     cross_ratio,
     eigen_decompose,
@@ -91,6 +95,55 @@ class TestPowersAndTraces:
         a = UnitaryMatrix(cmath.exp(0.3j), 0)
         b = UnitaryMatrix(cmath.exp(1.1j), 0)
         assert trace(evaluate_word(Word.parse("xyXY"), a, b)) == pytest.approx(2.0, abs=1e-14)
+
+
+def bits(values) -> list[int]:
+    """IEEE bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def quaternion_columns(pairs) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(c) for c in zip(*((a.real, a.imag, b.real, b.imag) for a, b in pairs)))
+
+
+class TestQuaternionArrays:
+    """The batched products repeat the scalar ones bit for bit."""
+
+    def signed_zero_pairs(self, rng, count):
+        # random quaternion pairs whose parts are often +0.0 or -0.0
+        parts = rng.normal(size=(count, 4))
+        parts[rng.random(size=parts.shape) < 0.3] = 0.0
+        parts[rng.random(size=parts.shape) < 0.5] *= -1.0
+        return [(complex(w, x), complex(y, z)) for w, x, y, z in parts.tolist()]
+
+    def test_product_equals_qmul(self):
+        rng = np.random.default_rng(17)
+        xs, ys = self.signed_zero_pairs(rng, 4000), self.signed_zero_pairs(rng, 4000)
+        assert any(math.copysign(1.0, a.real) < 0 and a.real == 0 for a, _ in xs)
+        got = _qmul_arrays(quaternion_columns(xs), quaternion_columns(ys))
+        want = quaternion_columns([_qmul(*x, *y) for x, y in zip(xs, ys)])
+        for g, w in zip(got, want):
+            assert bits(g) == bits(w)
+
+    def test_power_equals_mat_pow(self):
+        rng = np.random.default_rng(18)
+        us = [random_su2(rng) for _ in range(300)]
+        for k in [0, 1, 2, 3, 7, 30, 45, 202, 300]:
+            got = _qpow_arrays(quaternion_columns((u.a, u.b) for u in us), k)
+            want = quaternion_columns((v.a, v.b) for v in (mat_pow(u, k) for u in us))
+            for g, w in zip(got, want):
+                assert bits(g) == bits(w), k
+
+    def test_sup_diff_equals_scalar(self):
+        # NaN in any entry but the first is skipped by max(), as in sup_diff
+        rng = np.random.default_rng(19)
+        xs = [random_su2(rng) for _ in range(200)]
+        ys = [random_su2(rng) for _ in range(200)]
+        ys[0] = UnitaryMatrix(complex(math.nan, 0.0), 0.5j)
+        ys[1] = UnitaryMatrix(0.5 + 0.0j, complex(0.0, math.nan))
+        got = _sup_diff_arrays(*(quaternion_columns((u.a, u.b) for u in us) for us in (xs, ys)))
+        assert bits(got) == bits([sup_diff(x, y) for x, y in zip(xs, ys)])
+        assert math.isnan(got[0]) and not math.isnan(got[1])
 
 
 class TestPolar:

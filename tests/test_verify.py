@@ -16,11 +16,14 @@ from tkchar.roots import root
 from tkchar.su2 import UnitaryMatrix, conjugate_by, from_quaternion, sup_diff
 import tkchar.verify
 from tkchar.verify import (
+    CHUNK,
     AmbiguousDecodeError,
     SampleConfig,
+    _classify_arrays,
     _decode_red,
     _eigenvalue_pair,
     _label,
+    _sample_arrays,
     canonical_red_angle,
     classify,
     component_key,
@@ -29,6 +32,24 @@ from tkchar.verify import (
     sample_pair,
     summary_to_json,
 )
+
+
+def bits(values) -> list[int]:
+    """IEEE bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def columns(matrices) -> tuple[np.ndarray, ...]:
+    """Quaternion arrays (Re a, Im a, Re b, Im b) of a list of matrices."""
+    parts = ((u.a.real, u.a.imag, u.b.real, u.b.imag) for u in matrices)
+    return tuple(np.array(c) for c in zip(*parts))
+
+
+def rotation(half_angle: float, axis: tuple[float, float, float]) -> UnitaryMatrix:
+    """cos(half_angle) + sin(half_angle) * axis, axis a unit vector."""
+    s = math.sin(half_angle)
+    x, y, z = (s * c for c in axis)
+    return UnitaryMatrix(complex(math.cos(half_angle), x), complex(y, z))
 
 
 def haar(rng) -> UnitaryMatrix:
@@ -439,3 +460,114 @@ class TestEmpiricalStructure:
         cfg = SampleConfig(params=GroupParams(3, 2), sample_count=400, seed=1, tol=1e-18)
         s = empirical_structure(cfg)
         assert s["ok"] is False
+
+
+class TestBatchedOracle:
+    """empirical_structure's chunked pipeline against the scalar reference."""
+
+    @pytest.mark.parametrize("m, n", [(4, 6), (12, 18), (7, 4), (30, 45)])
+    def test_batched_draws_equal_sample_pair(self, m, n):
+        # bit for bit at every index, over several chunks and a partial one
+        cfg = SampleConfig(params=GroupParams(m, n), sample_count=2100, seed=8)
+        for start in range(0, cfg.sample_count, CHUNK):
+            indices = range(start, min(start + CHUNK, cfg.sample_count))
+            batch = _sample_arrays(cfg, indices)
+            for pos, index in enumerate(indices):
+                for got, want in zip(batch, sample_pair(cfg, index)):
+                    assert bits([c[pos] for c in got]) == bits(
+                        [want.a.real, want.a.imag, want.b.real, want.b.imag]
+                    ), index
+
+    def assert_kernel_matches_classify(self, p, pairs, tol=1e-9):
+        out = _classify_arrays(p, columns(a for a, _ in pairs), columns(b for _, b in pairs), tol)
+        for pos, (a, b) in enumerate(pairs):
+            try:
+                point = classify(p, a, b, tol)
+            except ValueError:
+                assert out.failed[pos], pos
+                continue
+            assert not out.failed[pos], pos
+            if out.reducible[pos]:
+                assert point.component == Red(int(out.node[pos])), pos
+            else:
+                assert point.component == Irr(int(out.k[pos]), int(out.kp[pos])), pos
+            assert point.coordinate == out.coordinate[pos], pos
+            assert point.relation_residual == out.relation[pos], pos
+            assert point.classification_residual == out.residual[pos], pos
+        return out
+
+    @pytest.mark.parametrize(
+        "m, n", [(4, 6), (12, 18), (7, 4), (30, 45), (2, 202), (202, 2), (200, 300)]
+    )
+    def test_kernel_equals_classify(self, m, n):
+        p = GroupParams(m, n)
+        cfg = SampleConfig(params=p, sample_count=700, seed=m)
+        pairs = [sample_pair(cfg, i) for i in range(cfg.sample_count)]
+        out = self.assert_kernel_matches_classify(p, pairs)
+        assert out.reducible.any() and not out.reducible.all()
+
+    def test_kernel_refuses_what_classify_refuses(self):
+        # corrupted pairs between clean ones: the failure mask marks exactly
+        # the pairs classify raises on, whatever the reason
+        p = GroupParams(4, 4)
+        x, y = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+        clean = [build_irr(p, 1, 3, 0.3), build_red_noncoprime(p, 1, cmath.exp(0.7j))]
+        nan = (UnitaryMatrix(complex(math.nan, math.nan), complex(math.nan)), clean[0][1])
+        off_relation = (from_quaternion(1 + 0.5j, 0.3), from_quaternion(0.2, 1 - 1j))
+        # a's half-angle 1e-8 decodes to k = 1, b's to kp = 2; a^4 and b^4
+        # are within 1e-7 of the identity
+        parity = (rotation(1e-8, x), rotation(math.pi / 2, y))
+        pairs = [clean[0], nan, clean[1], off_relation, clean[0], parity, clean[1]]
+        out = self.assert_kernel_matches_classify(p, pairs)
+        assert out.failed.tolist() == [False, True, False, True, False, True, False]
+        with pytest.raises(ValueError, match="parity"):
+            classify(p, *parity)
+
+    def test_kernel_refuses_ambiguous_labels(self):
+        # a's half-angle pi/2 + 1e-7 puts k = alpha*m/pi 1.3e-7 past 2,
+        # which a tolerance just under 1/2 cannot separate from 2.5; the
+        # axes stay orthogonal, so the pair is still irreducible
+        p = GroupParams(4, 4)
+        tol = 0.5 - 1e-8
+        ambiguous = (
+            rotation(math.pi / 2 + 1e-7, (1.0, 0.0, 0.0)),
+            rotation(math.pi / 2, (0.0, 1.0, 0.0)),
+        )
+        clean = build_irr(p, 2, 2, 0.5)
+        with pytest.raises(AmbiguousDecodeError):
+            classify(p, *ambiguous, tol)
+        out = self.assert_kernel_matches_classify(p, [clean, ambiguous, clean], tol)
+        assert out.failed.tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10_000])
+    def test_chunk_size_does_not_move_bytes(self, monkeypatch, chunk):
+        cfg = SampleConfig(params=GroupParams(12, 18), sample_count=600, seed=4)
+        want = summary_to_json(empirical_structure(cfg))
+        monkeypatch.setattr(tkchar.verify, "CHUNK", chunk)
+        assert summary_to_json(empirical_structure(cfg)) == want
+
+    def test_no_scalar_call_per_sample(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar path called")
+
+        for name in ("sample_pair", "classify", "build_irr", "mat_pow", "conjugate_by"):
+            monkeypatch.setattr(tkchar.verify, name, refuse)
+        s = empirical_structure(SampleConfig(params=GroupParams(4, 6), sample_count=300, seed=1))
+        assert s["ok"] is True
+
+    def test_memory_bounded_by_chunk(self):
+        # peak traced memory does not grow with the sample count
+        import tracemalloc
+
+        p = GroupParams(4, 6)
+        empirical_structure(SampleConfig(params=p, sample_count=10, seed=1))  # per-order tables
+        peaks = []
+        for count in (2000, 10_000):
+            assert count > CHUNK
+            tracemalloc.start()
+            try:
+                empirical_structure(SampleConfig(params=p, sample_count=count, seed=1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
