@@ -13,6 +13,7 @@ alpha = 1) this is lam = t^n, mu = t^m.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,13 +124,19 @@ def _unit(t: complex) -> complex:
     return t / nrm
 
 
+@functools.lru_cache(maxsize=4096)
+def _alpha_conj(p: GroupParams, i: int) -> complex:
+    """alpha_root(p, i)^-1 as a complex number: built once per (p, i), not per call."""
+    return alpha_root(p, i).conj().to_complex()
+
+
 def build_red_noncoprime(p: GroupParams, i: int, t: complex) -> tuple[UnitaryMatrix, UnitaryMatrix]:
     """Diagonal representation at circle coordinate t on raw reducible component i."""
     if not 0 <= i < p.d:
         raise ValueError(f"raw component index {i} outside [0, {p.d})")
     t = _unit(t)
     lam = t ** p.b
-    mu = alpha_root(p, i).conj().to_complex() * t ** p.a
+    mu = _alpha_conj(p, i) * t ** p.a
     return UnitaryMatrix(lam, 0.0j), UnitaryMatrix(mu, 0.0j)
 
 

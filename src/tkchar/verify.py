@@ -10,7 +10,13 @@ Randomness is reproducible and order-independent: each sample index gets
 its own generator seeded by the pair (seed, index), so the stream for a
 given sample never depends on how many other samples were drawn, by whom,
 or in which thread.  _draw makes that generator's calls, in order, for
-one index; it is the one definition of the stream.
+one index; it is the one definition of the stream.  The batched path
+computes the same numbers for a chunk of indices at once with
+tkchar.stream, an array replica of numpy's SeedSequence, PCG64, bounded
+integers and ziggurat normals that covers their common path.  An index
+whose draw leaves it (about 6% of them) is drawn by _draw itself, and so
+is one replicated index per chunk: if that one differs from _draw by a
+bit, verify raises RuntimeError rather than emit a different stream.
 
 Classification inverts the construction from the matrices alone, reading
 every decision from the polar form (half-angle alpha, axis v) of each
@@ -27,7 +33,7 @@ by every sample.
 
 sample_pair and classify are the scalar reference and library API.
 empirical_structure runs the same stream through a chunked pipeline
-instead, CHUNK samples at a time: the draws, one _draw per index; the
+instead, CHUNK samples at a time: the draws, as arrays (_draw_arrays); the
 builders, as float64 quaternion arrays (reducible draws still one
 build_red_noncoprime call each); the kernel, which conjugates, checks the
 relation and classifies every pair of the chunk at once; and the tally of
@@ -324,27 +330,64 @@ def _per_element(f, *columns: np.ndarray) -> np.ndarray:
     return np.array(list(map(f, *(c.tolist() for c in columns))), dtype=float)
 
 
+def _draw_bits(reducible, j, u, g) -> tuple[bool, int, bytes]:
+    """One index's draw with its floats as IEEE bytes, so -0.0 != 0.0."""
+    return bool(reducible), int(j), np.append(u, g).tobytes()
+
+
+def _draw_arrays(
+    cfg: SampleConfig, indices: range
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """_draw(cfg, i) for every i in indices, as arrays (reducible, j, u, g).
+
+    stream.draws computes them as uint64 array arithmetic; every index it
+    leaves to numpy is drawn by _draw, and so is the first one it does not,
+    which must then agree bit for bit, else RuntimeError.
+    """
+    from . import stream  # here, so that importing the CLI does not load its tables
+
+    p = cfg.params
+    fast, *arrays = stream.draws(
+        cfg.seed, indices, cfg.reducible_fraction, p.d // 2 + 1, len(_irr(p))
+    )
+    for pos in np.flatnonzero(~fast).tolist():
+        for column, value in zip(arrays, _draw(cfg, indices[pos])):
+            column[pos] = value
+    for pos in np.flatnonzero(fast)[:1].tolist():
+        if _draw_bits(*_draw(cfg, indices[pos])) != _draw_bits(*(c[pos] for c in arrays)):
+            raise RuntimeError(
+                f"tkchar.stream differs from numpy's default_rng((seed, index)) at "
+                f"({cfg.seed}, {indices[pos]}); numpy {np.__version__} changed its stream"
+            )
+    return tuple(arrays)
+
+
 def _sample_arrays(cfg: SampleConfig, indices: range) -> tuple[QuaternionArrays, QuaternionArrays]:
     """sample_pair(cfg, i) for every i in indices, as two quaternion arrays."""
-    p = cfg.params
-    reducible, j, u, g = zip(*(_draw(cfg, i) for i in indices))
-    a = tuple(np.zeros(len(indices)) for _ in range(4))
-    b = tuple(np.zeros(len(indices)) for _ in range(4))
+    return _build_arrays(cfg.params, *_draw_arrays(cfg, indices))
+
+
+def _build_arrays(
+    p: GroupParams, reducible: np.ndarray, j: np.ndarray, u: np.ndarray, g: np.ndarray
+) -> tuple[QuaternionArrays, QuaternionArrays]:
+    """sample_pair's builders and conjugation over the arrays of _draw_arrays."""
+    a = tuple(np.zeros(reducible.size) for _ in range(4))
+    b = tuple(np.zeros(reducible.size) for _ in range(4))
 
     # Reducible draws one at a time: t ** b in build_red_noncoprime is
     # CPython's complex power, repeated squaring up to |b| = 100, exp/log beyond.
-    for pos in np.flatnonzero(reducible).tolist():
-        x, y = build_red_noncoprime(p, j[pos], cmath.exp(1j * (2.0 * math.pi * u[pos])))
+    red = np.flatnonzero(reducible)
+    for pos, jr, ur in zip(red.tolist(), j[red].tolist(), u[red].tolist()):
+        x, y = build_red_noncoprime(p, jr, cmath.exp(1j * (2.0 * math.pi * ur)))
         for q, z in ((a, x), (b, y)):
             q[0][pos], q[1][pos], q[2][pos], q[3][pos] = z.a.real, z.a.imag, z.b.real, z.b.imag
 
     # build_irr: a = diag(lam), b = rot @ diag(mu) @ rot.inv() with
     # rot = (sqrt(1 - t), sqrt(t)) as complex numbers
-    irr = np.flatnonzero(np.logical_not(reducible))
+    irr = np.flatnonzero(~reducible)
     tables = _irr_tables(p)
-    comp = np.array(j, dtype=np.int64)[irr]
-    k, kp = tables.k[comp], tables.kp[comp]
-    t = np.minimum(np.maximum(np.array(u)[irr], 1e-12), 1.0 - 1e-12)
+    k, kp = tables.k[j[irr]], tables.kp[j[irr]]
+    t = np.minimum(np.maximum(u[irr], 1e-12), 1.0 - 1e-12)
     c, s = np.sqrt(1.0 - t), np.sqrt(t)
     zero = np.zeros(irr.size)
     mu = (tables.mu[0][kp], tables.mu[1][kp], zero, zero)
@@ -356,7 +399,7 @@ def _sample_arrays(cfg: SampleConfig, indices: range) -> tuple[QuaternionArrays,
     # from_quaternion: nrm = sqrt(abs(x)**2 + abs(y)**2) (np.hypot is C
     # hypot, as abs(complex) is), then CPython's complex / float, which
     # divides x + i*y as (x + y*0.0, y - x*0.0) / nrm
-    g0, g1, g2, g3 = np.array(g).T
+    g0, g1, g2, g3 = g.T
     nrm = _per_element(lambda x, y: math.sqrt(x**2 + y**2), np.hypot(g0, g1), np.hypot(g2, g3))
     if (nrm < 1e-9).any():
         raise ValueError("zero-norm quaternion")

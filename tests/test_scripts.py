@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from tkchar.components import GroupParams
 from tkchar.graph import build_graph, to_dot, to_json, to_svg_schematic
 
@@ -40,3 +42,22 @@ def test_render_figures(tmp_path):
     assert written == {"graph-8-12.json", "graph-8-12.dot", "graph-8-12.svg"}
     for ext, render in (("json", to_json), ("dot", to_dot), ("svg", to_svg_schematic)):
         assert (tmp_path / f"graph-8-12.{ext}").read_text() == render(g) + "\n"
+
+
+def test_oracle_stages():
+    proc = run_script("oracle_stages.py", "-m", "4", "-n", "6", "-N", "600", "--seed", "2")
+    assert proc.returncode == 0, proc.stderr
+    comment, header, *rows = proc.stdout.splitlines()
+    assert comment.startswith("# (m, n) = (4, 6), N = 600, seed 2")
+    assert header.split() == ["stage", "seconds", "us/sample"]
+    stages = {}
+    for row in rows:
+        *name, seconds, per_sample = row.split()
+        stages[" ".join(name)] = float(seconds)
+        # seconds are printed to 0.1 ms, i.e. 0.083 us per sample here
+        assert float(per_sample) == pytest.approx(1e6 * float(seconds) / 600, abs=0.1)
+    assert list(stages) == [
+        "draw loop", "stream", "builders", "kernel", "graph", "tally", "summary_to_json",
+        "empirical_structure",
+    ]
+    assert all(stages[s] > 0 for s in stages if s != "tally")

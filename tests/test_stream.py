@@ -1,0 +1,151 @@
+"""The array replica of numpy's default_rng((seed, index)) stream against
+numpy itself: bit for bit, its fallback and its guard."""
+
+import numpy as np
+import pytest
+
+import tkchar.verify
+from tkchar import stream
+from tkchar.components import GroupParams
+from tkchar.verify import (
+    CHUNK,
+    SampleConfig,
+    _draw,
+    _draw_arrays,
+    _draw_bits,
+    _irr,
+    empirical_structure,
+    summary_to_json,
+)
+
+ORDERS = [(7, 4), (2, 3), (4, 6), (30, 45), (2, 202)]
+
+
+def replica(cfg, indices):
+    p = cfg.params
+    return stream.draws(cfg.seed, indices, cfg.reducible_fraction, p.d // 2 + 1, len(_irr(p)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 8, 424242, 2**31 - 1, 2**32 - 1, 2**32])
+def test_replica_equals_draw(seed):
+    # every fast-path index of the replica, and every index of _draw_arrays,
+    # is _draw's draw bit for bit; chunks start at zero and past it
+    for m, n in ORDERS:
+        for fraction in (0.0, 0.25, 1.0):
+            cfg = SampleConfig(params=GroupParams(m, n), seed=seed, reducible_fraction=fraction)
+            for indices in (range(0, 120), range(777, 897)):
+                fast, *arrays = replica(cfg, indices)
+                assert fast.mean() > 0.8, (m, n, fraction)
+                batch = _draw_arrays(cfg, indices)
+                for pos, index in enumerate(indices):
+                    want = _draw_bits(*_draw(cfg, index))
+                    assert _draw_bits(*(c[pos] for c in batch)) == want, (m, n, fraction, index)
+                    if fast[pos]:
+                        assert _draw_bits(*(c[pos] for c in arrays)) == want, (m, n, index)
+
+
+def test_both_branches_and_no_integer_draw():
+    # K == 1 draws no integer: the irreducible branch at (2, 3), the
+    # reducible one at d = 1; both branches occur at fraction 0.25
+    for m, n in ((2, 3), (7, 4), (4, 6)):
+        cfg = SampleConfig(params=GroupParams(m, n), seed=5)
+        fast, reducible, j, u, g = replica(cfg, range(300))
+        assert reducible.any() and not reducible.all()
+        if m == 2:
+            assert not j[~reducible].any()
+        if cfg.params.d == 1:
+            assert not j[reducible].any()
+
+
+def test_indices_past_32_bits_fall_back():
+    # an index of 2**32 or more takes two entropy words; _draw draws those
+    cfg = SampleConfig(params=GroupParams(4, 6), seed=3)
+    indices = range(2**32 - 3, 2**32 + 3)
+    assert not replica(cfg, indices)[0].any()
+    batch = _draw_arrays(cfg, indices)
+    for pos, index in enumerate(indices):
+        assert _draw_bits(*(c[pos] for c in batch)) == _draw_bits(*_draw(cfg, index))
+
+
+def ziggurat_tables():
+    """numpy's ki_double and wi_double, probed through its own generator.
+
+    A PCG64 state whose next state has high word 0 makes the next output
+    equal that state's low word u.  u = layer | sign << 8 | rabs << 9 with
+    rabs = 1 returns rabs * wi[layer] = wi[layer]; ki[layer] is the least
+    rabs the fast path refuses, i.e. the first that consumes a second output.
+    """
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inverse = pow(mult, -1, 1 << 128)
+    bg = np.random.PCG64(0)
+    gen = np.random.Generator(bg)
+
+    def probe(u):
+        start = ((u - 1) * inverse) % (1 << 128)
+        bg.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": start, "inc": 1},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        x = gen.standard_normal()
+        return x, bg.state["state"]["state"] == u
+
+    ki, wi = [], []
+    for layer in range(256):
+        wi.append(probe(layer | 1 << 9)[0])
+        accepted, refused = -1, 1 << 52
+        while refused - accepted > 1:
+            mid = (accepted + refused) // 2
+            if probe(layer | mid << 9)[1]:
+                accepted = mid
+            else:
+                refused = mid
+        ki.append(refused)
+    return ki, wi
+
+
+def test_tables_are_numpys():
+    ki, wi = ziggurat_tables()
+    assert ki[0] == 0x000EF33D8025EF6A and ki[1] == 0
+    assert stream._KI.tolist() == ki
+    assert stream._WI.tobytes() == np.array(wi).tobytes()
+
+
+def test_corrupted_table_raises(monkeypatch):
+    # the guard index is the first fast one of the chunk; corrupting the
+    # layers of all its outputs changes its Gaussians, and verify refuses
+    cfg = SampleConfig(params=GroupParams(4, 6), sample_count=300, seed=1)
+    fast = replica(cfg, range(cfg.sample_count))[0]
+    guard = int(np.flatnonzero(fast)[0])
+    raw = np.random.default_rng((cfg.seed, guard)).bit_generator.random_raw(7)
+    wi = stream._WI.copy()
+    wi[raw & 0xFF] *= 1.5
+    monkeypatch.setattr(stream, "_WI", wi)
+    with pytest.raises(RuntimeError, match="default_rng"):
+        empirical_structure(cfg)
+
+
+def test_fallback_alone_gives_the_same_bytes(monkeypatch):
+    # a zero ki table refuses every fast path: all of it drawn by _draw
+    cfg = SampleConfig(params=GroupParams(12, 18), sample_count=600, seed=4)
+    want = summary_to_json(empirical_structure(cfg))
+    monkeypatch.setattr(stream, "_KI", np.zeros(256, dtype=np.uint64))
+    assert not replica(cfg, range(cfg.sample_count))[0].any()
+    assert summary_to_json(empirical_structure(cfg)) == want
+
+
+@pytest.mark.parametrize("m, n", [(4, 6), (30, 45)])
+def test_draw_calls_bounded(monkeypatch, m, n):
+    # _draw covers only the replica's fallbacks and one guard per chunk
+    calls = []
+    real = tkchar.verify._draw
+
+    def counted(cfg, index):
+        calls.append(index)
+        return real(cfg, index)
+
+    monkeypatch.setattr(tkchar.verify, "_draw", counted)
+    count = 20_000
+    empirical_structure(SampleConfig(params=GroupParams(m, n), sample_count=count, seed=1))
+    assert -(-count // CHUNK) <= len(calls) <= 0.08 * count

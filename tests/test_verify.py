@@ -12,8 +12,9 @@ import pytest
 from tkchar.components import GroupParams, Irr, Red, alpha_root, enumerate_irr
 from tkchar.graph import _endpoint_rule, build_graph, involution_twist
 from tkchar.reps import build_irr, build_red_noncoprime, character, cross_ratio_of_pair
-from tkchar.roots import root
+from tkchar.roots import RootOfUnity, root
 from tkchar.su2 import UnitaryMatrix, conjugate_by, from_quaternion, sup_diff
+import tkchar.reps
 import tkchar.verify
 from tkchar.verify import (
     CHUNK,
@@ -340,6 +341,24 @@ class TestSamplePair:
         tkchar.verify._irr.cache_clear()
         empirical_structure(SampleConfig(params=GroupParams(30, 45), sample_count=2000, seed=3))
         assert 1 <= len(calls) <= 2
+
+    def test_reducible_builder_roots_built_per_circle(self, monkeypatch):
+        # build_red_noncoprime builds alpha_root(p, i) once per raw circle,
+        # so RootOfUnity constructions stay O(d), not O(samples)
+        p = GroupParams(30, 45)
+        cfg = SampleConfig(params=p, sample_count=2000, seed=3)
+        empirical_structure(cfg)  # the per-order tables
+        constructed = []
+        real = RootOfUnity.__post_init__
+
+        def counted(self):
+            constructed.append(self)
+            real(self)
+
+        monkeypatch.setattr(RootOfUnity, "__post_init__", counted)
+        tkchar.reps._alpha_conj.cache_clear()
+        empirical_structure(cfg)
+        assert 0 < len(constructed) <= 3 * p.d
 
 
 class TestFindConjugator:
