@@ -124,11 +124,13 @@ class IncidenceGraph:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class _EndpointRule:
     """The endpoint formula and fold of one order (see the module
     docstring), generic over int and float c; fold_all is fold over arrays
-    (int64 c in build_graph, float64 c in the batched verify decoder).
+    (int64 c in build_graph, float64 c in the verify kernel).  paired and
+    tau are taus as per-node arrays, built once with the rule, so that
+    fold_all costs O(len(c)) and not O(d).
 
     In float the involution has a branch cut at c = 0 ~ tau: points just
     either side keep representatives about tau apart, but the node and
@@ -139,6 +141,8 @@ class _EndpointRule:
     big: int  # M
     mirror: int  # 2*a*u*d
     taus: tuple[int | None, ...]  # per node: tau if self-paired
+    paired: np.ndarray  # per node: tau is not None
+    tau: np.ndarray  # per node: tau, or 0
 
     def raw(self, k, h):
         """c = k - 2*a*u*(h - i) on raw circle i = h mod d."""
@@ -160,16 +164,17 @@ class _EndpointRule:
         mirrored = 2 * i_raw > self.d
         node = np.where(mirrored, self.d - i_raw, i_raw)
         c = np.where(mirrored, self.mirror - c, c) % (2 * self.big)
-        paired = np.array([tau is not None for tau in self.taus])[node]
-        tau = np.array([tau or 0 for tau in self.taus])[node]
-        return node, np.where(paired, np.minimum(c, (tau - c) % (2 * self.big)), c)
+        tau = self.tau[node]
+        return node, np.where(self.paired[node], np.minimum(c, (tau - c) % (2 * self.big)), c)
 
 
 @functools.cache
 def _endpoint_rule(p: GroupParams) -> _EndpointRule:
     u, _ = bezout_coprime(p.a, p.b)
     taus = tuple(4 * p.a * u * i if self_paired(i, p.d) else None for i in range(p.d // 2 + 1))
-    return _EndpointRule(p.d, p.d * p.a * p.b, 2 * p.a * u * p.d, taus)
+    paired = np.array([tau is not None for tau in taus])
+    tau = np.array([tau or 0 for tau in taus])
+    return _EndpointRule(p.d, p.d * p.a * p.b, 2 * p.a * u * p.d, taus, paired, tau)
 
 
 def involution_twist(p: GroupParams, i: int) -> RootOfUnity:

@@ -29,17 +29,16 @@ point and an exact graph endpoint are one canonical representative.
 
 The irreducible labels, their eigenvalue tables and the fold rule depend
 only on the orders; each is built once per (m, n), on first use, and shared
-by every sample.
+by every sample.  The kernel reads no O(m*n) label table.
 
-sample_pair and classify are the scalar reference and library API.
-empirical_structure runs the same stream through a chunked pipeline
-instead, CHUNK samples at a time: the draws, as arrays (_draw_arrays); the
-builders, as float64 quaternion arrays (reducible draws still one
-build_red_noncoprime call each); the kernel, which conjugates, checks the
-relation and classifies every pair of the chunk at once; and the tally of
-counts, residual maxima and adjacency votes.  Each array element repeats
-the scalar path's floating-point operations in the same order, so the
-summary is byte for byte what a loop over sample_pair and classify gives.
+Each step exists once, over arrays.  empirical_structure runs the stream
+CHUNK samples at a time through the draws (_draw_arrays), the builders
+(_build_arrays, float64 quaternion arrays), the kernel, which checks the
+relation and classifies every pair at once (_classify_arrays), and the
+tally.  sample_pair and classify are the same pipeline on a batch of one;
+classify raises from the kernel's reason code.  Every array element repeats
+the floating-point operations of build_irr, build_red_noncoprime,
+conjugate_by and mat_pow in their order, bit for bit.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from .components import (
     enumerate_red,
 )
 from .graph import _endpoint_rule, _sig12, build_graph
-from .reps import build_irr, build_red_noncoprime, character
+from .reps import build_red_noncoprime, character
 from .roots import root
 from .su2 import (
     DEFAULT_TOL,
@@ -73,19 +72,15 @@ from .su2 import (
     _sup_diff_arrays,
     conjugate_by,
     eigen_decompose,
-    from_quaternion,
     is_reducible_pair,
-    mat_pow,
-    polar,
     sup_diff,
-    trace,
 )
 
-# Fixed thresholds, read by the scalar classify and the batched kernel alike:
-# classify refuses a pair whose relation residual exceeds RELATION_TOL, and
-# the "residuals" flag of a summary holds when no sample failed to decode,
-# the largest relation residual is at most RESIDUALS_FLAG_RELATION and the
-# largest classification residual at most RESIDUALS_FLAG_CLASSIFICATION.
+# Fixed thresholds of the kernel: a pair whose relation residual exceeds
+# RELATION_TOL is refused, and the "residuals" flag of a summary holds when
+# no sample failed to decode, the largest relation residual is at most
+# RESIDUALS_FLAG_RELATION and the largest classification residual at most
+# RESIDUALS_FLAG_CLASSIFICATION.
 RELATION_TOL = 1e-6
 RESIDUALS_FLAG_RELATION = 1e-9
 RESIDUALS_FLAG_CLASSIFICATION = 1e-6
@@ -93,6 +88,10 @@ RESIDUALS_FLAG_CLASSIFICATION = 1e-6
 # Samples per batch of empirical_structure: bounds the batch's arrays, so
 # peak memory does not grow with the sample count.
 CHUNK = 512
+
+# The kernel's reason code per pair: OK, or why classify refuses the pair
+# (the relation fails, a's or b's label is ambiguous, the labels' parity).
+OK, RELATION, AMBIGUOUS_A, AMBIGUOUS_B, PARITY = range(5)
 
 
 class AmbiguousDecodeError(ValueError):
@@ -137,47 +136,14 @@ def _irr(p: GroupParams) -> tuple[Irr, ...]:
     return tuple(enumerate_irr(p))
 
 
-@dataclass(frozen=True, slots=True)
-class _IrrTables:
-    """The per-order numbers the batched builder and kernel look up.
-
-    k and kp label the irreducible components in _irr's order; lam and mu
-    are (Re, Im) of root(k, m) and root(kp, n) per exponent, as build_irr
-    makes them; two_cos_m and two_cos_n are 2*cos(pi*k/m) and
-    2*cos(pi*kp/n) per exponent, as classify's residual computes them.
-    """
-
-    k: np.ndarray
-    kp: np.ndarray
-    lam: tuple[np.ndarray, np.ndarray]
-    mu: tuple[np.ndarray, np.ndarray]
-    two_cos_m: np.ndarray
-    two_cos_n: np.ndarray
-
-
-def _circle_table(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Re and Im of exp(i*pi*k/order) and 2*cos(pi*k/order), per k."""
-    roots = [root(k, order).to_complex() for k in range(order)]
-    return (
-        np.array([z.real for z in roots]),
-        np.array([z.imag for z in roots]),
-        np.array([2.0 * math.cos(math.pi * k / order) for k in range(order)]),
-    )
-
-
 @functools.lru_cache(maxsize=1)
-def _irr_tables(p: GroupParams) -> _IrrTables:
+def _irr_tables(p: GroupParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(k, kp, lam, mu) of one order, which the batched builder looks up: k
+    and kp label the irreducible components in _irr's order, and lam and mu
+    hold root(k, m) and root(kp, n) per exponent, as build_irr makes them."""
     comps = _irr(p)
-    lam_re, lam_im, two_cos_m = _circle_table(p.m)
-    mu_re, mu_im, two_cos_n = _circle_table(p.n)
-    return _IrrTables(
-        np.array([c.k for c in comps], dtype=np.int64),
-        np.array([c.kp for c in comps], dtype=np.int64),
-        (lam_re, lam_im),
-        (mu_re, mu_im),
-        two_cos_m,
-        two_cos_n,
-    )
+    lam, mu = (np.array([root(k, o).to_complex() for k in range(o)]) for o in (p.m, p.n))
+    return np.array([c.k for c in comps]), np.array([c.kp for c in comps]), lam, mu
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,67 +169,18 @@ def _draw(cfg: SampleConfig, index: int) -> tuple[bool, int, float, np.ndarray]:
     return False, int(rng.integers(len(_irr(p)))), rng.random(), rng.normal(size=4)
 
 
+def _one(x: UnitaryMatrix) -> QuaternionArrays:
+    """x as quaternion arrays of length 1."""
+    return tuple(np.array([v]) for v in (x.a.real, x.a.imag, x.b.real, x.b.imag))
+
+
 def sample_pair(cfg: SampleConfig, index: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
     """The index-th sample of the configured stream: a pair satisfying the relation."""
-    p = cfg.params
-    reducible, j, u, g = _draw(cfg, index)
-    if reducible:
-        a, b = build_red_noncoprime(p, j, cmath.exp(1j * (2.0 * math.pi * u)))
-    else:
-        comp = _irr(p)[j]
-        a, b = build_irr(p, comp.k, comp.kp, min(max(u, 1e-12), 1.0 - 1e-12))
-    conj = from_quaternion(complex(g[0], g[1]), complex(g[2], g[3]))
-    return conjugate_by(a, conj), conjugate_by(b, conj)
-
-
-def _label(alpha: float, order: int, tol: float) -> int:
-    """Nearest admissible eigenvalue exponent k in [1, order - 1] of the
-    half-angle alpha, whose ideal value is pi*k/order.
-
-    Raises AmbiguousDecodeError when x = alpha*order/pi lies within tol of
-    the half-integer between two admissible labels (cannot happen for clean
-    inputs; guards corrupted data).
-    """
-    x = alpha * order / math.pi
-    j = math.floor(x)
-    if 1 <= j < order - 1 and abs(x - j - 0.5) <= tol:
-        raise AmbiguousDecodeError(f"angle {alpha} fits labels {(j, j + 1)}", (j, j + 1))
-    return min(max(round(x), 1), order - 1)
-
-
-def _eigenvalue_pair(a: UnitaryMatrix, b: UnitaryMatrix) -> tuple[float, float]:
-    """Eigenvalue angles (alpha_a, +-alpha_b) of a and b on a's eigenline
-    for exp(i*alpha_a).
-
-    On a reducible pair this is the common eigenline, where b's eigenvalue
-    is exp(+-i*alpha_b) as the axes point the same way or opposite ways.
-    On an irreducible pair it is the eigenvalue pair of the limit the arc
-    reaches as b's axis turns onto a's (t -> 0) or against it (t -> 1):
-    exact for every t on that half of the arc, since alpha_a, alpha_b and
-    the sign do not move with t.  Near a central element the sign is noise
-    but both choices agree there to the size of the axis.
-    """
-    (alpha_a, va), (alpha_b, vb) = polar(a), polar(b)
-    dot = va[0] * vb[0] + va[1] * vb[1] + va[2] * vb[2]
-    return alpha_a, math.copysign(alpha_b, dot)
-
-
-def _decode_red(p: GroupParams, alpha_a: float, alpha_b: float) -> tuple[int, float]:
-    """(canonical index, canonical angle) of the reducible character with
-    eigenvalues (exp(i*alpha_a), exp(i*alpha_b)).
-
-    build_graph's endpoint formula and fold rule, in float: the exponents
-    k = alpha_a*m/pi and s = alpha_b*n/pi put the point on raw circle
-    i = h mod d, h = round((k - s)/2), at exp(i*pi*c/M) with
-    c = k - 2*a*u*(h - i) (_EndpointRule.raw).  That form carries the float
-    noise of k alone; a*u*(2i + s) + b*v*k would scale the noise of s by
-    the Bezout coefficients.
-    """
-    rule = _endpoint_rule(p)
-    k = alpha_a * p.m / math.pi
-    h = round((k - alpha_b * p.n / math.pi) / 2.0)
-    node, c = rule.fold(h % p.d, rule.raw(k, h))
-    return node, math.pi * c / rule.big
+    draw = (np.array([value]) for value in _draw(cfg, index))
+    return tuple(
+        UnitaryMatrix(complex(q[0][0], q[1][0]), complex(q[2][0], q[3][0]))
+        for q in _build_arrays(cfg.params, *draw)
+    )
 
 
 def canonical_red_angle(p: GroupParams, i_raw: int, theta: float) -> tuple[int, float]:
@@ -288,46 +205,46 @@ def classify(
     squared half-chord |u_a - u_b|^2 / 4 between the unit axes u = v/|v|,
     which equals r/(r - 1) of the eigenvector cross-ratio r.  The
     classification residual is the trace distance to the decoded
-    component's ideal traces.
+    component's ideal traces.  This is _classify_arrays on one pair; a
+    pair it refuses raises ValueError (AmbiguousDecodeError with both
+    candidate labels if an angle fits two).
     """
-    check_tol(tol)
-    relation = sup_diff(mat_pow(a, p.m), mat_pow(b, p.n))
-    if not relation <= RELATION_TOL:
-        raise ValueError(f"pair violates the relation (residual {relation:.3g})")
-    if is_reducible_pair(a, b, tol):
-        i_can, theta = _decode_red(p, *_eigenvalue_pair(a, b))
-        residual = abs(trace(a).real - 2.0 * math.cos(p.b * theta)) + abs(
-            trace(b).real - 2.0 * math.cos(p.a * theta - 2.0 * math.pi * i_can / p.n)
-        )
-        return ClassifiedPoint(Red(i_can), theta, relation, residual)
-    (alpha_a, va), (alpha_b, vb) = polar(a), polar(b)
-    k = _label(alpha_a, p.m, tol)
-    kp = _label(alpha_b, p.n, tol)
-    if (k - kp) % 2 != 0:
+    out = _classify_arrays(p, _one(a), _one(b), tol)
+    reason, k, kp = int(out.reason[0]), int(out.k[0]), int(out.kp[0])
+    if reason == RELATION:
+        raise ValueError(f"pair violates the relation (residual {float(out.relation[0]):.3g})")
+    if reason in (AMBIGUOUS_A, AMBIGUOUS_B):
+        alpha, j = (out.alpha_a, k) if reason == AMBIGUOUS_A else (out.alpha_b, kp)
+        raise AmbiguousDecodeError(f"angle {float(alpha[0])} fits labels {(j, j + 1)}", (j, j + 1))
+    if reason == PARITY:
         raise ValueError(f"decoded labels ({k}, {kp}) violate the parity condition")
-    na, nb = math.hypot(*va), math.hypot(*vb)
-    t = sum((x / na - y / nb) ** 2 for x, y in zip(va, vb)) / 4.0
-    tr_a, tr_b = trace(a).real, trace(b).real
-    residual = abs(tr_a - 2.0 * math.cos(math.pi * k / p.m)) + abs(
-        tr_b - 2.0 * math.cos(math.pi * kp / p.n)
+    return ClassifiedPoint(
+        Red(int(out.node[0])) if out.reducible[0] else Irr(k, kp),
+        float(out.coordinate[0]),
+        float(out.relation[0]),
+        float(out.residual[0]),
     )
-    return ClassifiedPoint(Irr(k, kp), t, relation, residual)
 
 
-# --- batched oracle ----------------------------------------------------------
+# --- the batched pipeline ----------------------------------------------------
 #
-# empirical_structure runs the stream in batches of CHUNK samples, each held
-# as quaternion arrays (Re a, Im a, Re b, Im b) of float64.  sample_pair and
-# classify stay the reference: every array element equals what they compute,
-# bit for bit, because each step repeats their floating-point operations in
-# the same order.  Where numpy's routine rounds differently from the math
-# module's (atan2, cos, 3-argument hypot) or from Python's x ** 2, the call
-# is made per element in Python.
+# Every pair is held as quaternion arrays (Re a, Im a, Re b, Im b) of
+# float64.  Each step repeats the floating-point operations of the scalar
+# builders and of su2 in the same order, so an array element equals what
+# they compute, bit for bit.  Where numpy's routine rounds differently from
+# the math module's (atan2, cos, 3-argument hypot) or from Python's x ** 2,
+# the call is made per element in Python.
 
 
 def _per_element(f, *columns: np.ndarray) -> np.ndarray:
     """f over Python floats of float64 arrays, element by element."""
     return np.array(list(map(f, *(c.tolist() for c in columns))), dtype=float)
+
+
+def _two_cos(k: np.ndarray, order: int) -> np.ndarray:
+    """2*cos(pi*k/order) per element, computed once per distinct k."""
+    values = {j: 2.0 * math.cos(math.pi * j / order) for j in set(k.tolist())}
+    return np.array([values[j] for j in k.tolist()], dtype=float)
 
 
 def _draw_bits(reducible, j, u, g) -> tuple[bool, int, bytes]:
@@ -362,15 +279,12 @@ def _draw_arrays(
     return tuple(arrays)
 
 
-def _sample_arrays(cfg: SampleConfig, indices: range) -> tuple[QuaternionArrays, QuaternionArrays]:
-    """sample_pair(cfg, i) for every i in indices, as two quaternion arrays."""
-    return _build_arrays(cfg.params, *_draw_arrays(cfg, indices))
-
-
 def _build_arrays(
     p: GroupParams, reducible: np.ndarray, j: np.ndarray, u: np.ndarray, g: np.ndarray
 ) -> tuple[QuaternionArrays, QuaternionArrays]:
-    """sample_pair's builders and conjugation over the arrays of _draw_arrays."""
+    """The pairs of the draws (reducible, j, u, g) of _draw_arrays:
+    build_red_noncoprime(p, j, exp(2*pi*i*u)) or build_irr on _irr(p)[j] at
+    t = u clamped into (0, 1), conjugated by from_quaternion of g."""
     a = tuple(np.zeros(reducible.size) for _ in range(4))
     b = tuple(np.zeros(reducible.size) for _ in range(4))
 
@@ -385,16 +299,17 @@ def _build_arrays(
     # build_irr: a = diag(lam), b = rot @ diag(mu) @ rot.inv() with
     # rot = (sqrt(1 - t), sqrt(t)) as complex numbers
     irr = np.flatnonzero(~reducible)
-    tables = _irr_tables(p)
-    k, kp = tables.k[j[irr]], tables.kp[j[irr]]
-    t = np.minimum(np.maximum(u[irr], 1e-12), 1.0 - 1e-12)
-    c, s = np.sqrt(1.0 - t), np.sqrt(t)
-    zero = np.zeros(irr.size)
-    mu = (tables.mu[0][kp], tables.mu[1][kp], zero, zero)
-    rotated = _qmul_arrays(_qmul_arrays((c, zero, s, zero), mu), (c, -zero, -s, -zero))
-    for q, z in ((a, (tables.lam[0][k], tables.lam[1][k], zero, zero)), (b, rotated)):
-        for column, values in zip(q, z):
-            column[irr] = values
+    if irr.size:  # the O(m*n) label tables only when an irreducible draw reads them
+        ks, kps, lam, mu = _irr_tables(p)
+        lam, mu = lam[ks[j[irr]]], mu[kps[j[irr]]]
+        t = np.minimum(np.maximum(u[irr], 1e-12), 1.0 - 1e-12)
+        c, s = np.sqrt(1.0 - t), np.sqrt(t)
+        zero = np.zeros(irr.size)
+        mu = (mu.real, mu.imag, zero, zero)
+        rotated = _qmul_arrays(_qmul_arrays((c, zero, s, zero), mu), (c, -zero, -s, -zero))
+        for q, z in ((a, (lam.real, lam.imag, zero, zero)), (b, rotated)):
+            for column, values in zip(q, z):
+                column[irr] = values
 
     # from_quaternion: nrm = sqrt(abs(x)**2 + abs(y)**2) (np.hypot is C
     # hypot, as abs(complex) is), then CPython's complex / float, which
@@ -412,16 +327,17 @@ def _build_arrays(
 
 @dataclass(frozen=True, slots=True)
 class _Classified:
-    """classify over quaternion arrays, one entry per pair.
+    """The kernel's decisions, one entry per pair.
 
-    failed marks the pairs classify refuses (relation, ambiguous label,
-    parity); every other field is meaningful only where failed is False.
-    A reducible pair is on Red(node) at angle coordinate; an irreducible
-    one is on Irr(k, kp) at t = coordinate, and node is the reducible
-    component its limit eigenvalue pair decodes to (the adjacency vote).
+    reason is OK or the code of the check that refuses the pair; the other
+    fields but relation are meaningful only where it is OK.  A reducible
+    pair is on Red(node) at angle coordinate; an irreducible one is on
+    Irr(k, kp) at t = coordinate, and node is the reducible component its
+    limit eigenvalue pair decodes to (the adjacency vote).  alpha_a and
+    alpha_b are the half-angles the labels k and kp are read from.
     """
 
-    failed: np.ndarray
+    reason: np.ndarray
     reducible: np.ndarray
     k: np.ndarray
     kp: np.ndarray
@@ -429,27 +345,35 @@ class _Classified:
     coordinate: np.ndarray
     relation: np.ndarray
     residual: np.ndarray
+    alpha_a: np.ndarray
+    alpha_b: np.ndarray
 
 
 def _labels(alpha: np.ndarray, order: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """_label elementwise: (labels, ambiguous)."""
+    """(labels, ambiguous) of half-angles alpha, ideally pi*k/order: the
+    nearest admissible k in [1, order - 1] to x = alpha*order/pi, except
+    where x lies within tol of the half-integer between two admissible
+    labels (corrupted data): there ambiguous is set and the label is
+    floor(x), the lower of the two."""
     x = alpha * order / math.pi
     j = np.floor(x)
     ambiguous = (1 <= j) & (j < order - 1) & (np.abs(x - j - 0.5) <= tol)
-    return np.clip(np.rint(x), 1, order - 1).astype(np.int64), ambiguous
+    return np.where(ambiguous, j, np.clip(np.rint(x), 1, order - 1)).astype(np.int64), ambiguous
 
 
 def _classify_arrays(
     p: GroupParams, a: QuaternionArrays, b: QuaternionArrays, tol: float
 ) -> _Classified:
-    """classify over quaternion arrays a and b (see _Classified)."""
+    """Classify every pair (a[i], b[i]) of quaternion arrays (see classify
+    and _Classified)."""
     check_tol(tol)
     with np.errstate(all="ignore"):
+        # the relation a^m = b^n by mat_pow's ladder and sup_diff
         relation = _sup_diff_arrays(_qpow_arrays(a, p.m), _qpow_arrays(b, p.n))
-        failed = ~(relation <= RELATION_TOL)
+        refused = ~(relation <= RELATION_TOL)
         # a pair past the relation gate is finite; the refused ones are
         # zeroed so that no NaN reaches the decoders
-        a, b = (tuple(np.where(failed, 0.0, x) for x in q) for q in (a, b))
+        a, b = (tuple(np.where(refused, 0.0, x) for x in q) for q in (a, b))
 
         # polar forms and the axis test (su2.polar, is_reducible_pair)
         (x1, y1, z1), (x2, y2, z2) = va, vb = a[1:], b[1:]
@@ -458,8 +382,11 @@ def _classify_arrays(
         cross = _per_element(math.hypot, y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
         reducible = cross <= tol * (na + nb)
 
-        # the eigenvalue pair on a's eigenline through the fold rule
-        # (_eigenvalue_pair, _decode_red)
+        # the eigenvalue pair (alpha_a, +-alpha_b) on a's eigenline through
+        # the fold rule: the common eigenline of a reducible pair, or the
+        # limit an irreducible one reaches as b's axis turns onto a's (t -> 0)
+        # or against it (t -> 1), exact in t.  c = raw(k, h) on raw circle
+        # h mod d, h = round((k - s)/2), carries the float noise of k alone.
         rule = _endpoint_rule(p)
         beta = np.copysign(alpha_b, x1 * x2 + y1 * y2 + z1 * z2)
         kf = alpha_a * p.m / math.pi
@@ -469,26 +396,34 @@ def _classify_arrays(
 
         k, ambiguous_k = _labels(alpha_a, p.m, tol)
         kp, ambiguous_kp = _labels(alpha_b, p.n, tol)
-        failed |= ~reducible & (ambiguous_k | ambiguous_kp | ((k - kp) % 2 != 0))
+        irr = ~reducible
+        reason = np.select(
+            [refused, irr & ambiguous_k, irr & ambiguous_kp, irr & ((k - kp) % 2 != 0)],
+            [RELATION, AMBIGUOUS_A, AMBIGUOUS_B, PARITY],
+            OK,
+        )
         # sum() of the three squares adds them left to right
         chord = (x / na - y / nb for x, y in zip(va, vb))
         t = _per_element(lambda x, y, z: x**2 + y**2 + z**2, *chord) / 4.0
 
         tr_a, tr_b = 2.0 * a[0], 2.0 * b[0]
-        red_residual = np.abs(tr_a - 2.0 * _per_element(math.cos, p.b * theta)) + np.abs(
-            tr_b - 2.0 * _per_element(math.cos, p.a * theta - 2.0 * math.pi * node / p.n)
+        residual = np.abs(tr_a - _two_cos(k, p.m)) + np.abs(tr_b - _two_cos(kp, p.n))
+        # the reducible residual, its cosines taken only where it is read
+        r = np.flatnonzero(reducible)
+        residual[r] = np.abs(tr_a[r] - 2.0 * _per_element(math.cos, p.b * theta[r])) + np.abs(
+            tr_b[r] - 2.0 * _per_element(math.cos, p.a * theta[r] - 2.0 * math.pi * node[r] / p.n)
         )
-        tables = _irr_tables(p)
-        irr_residual = np.abs(tr_a - tables.two_cos_m[k]) + np.abs(tr_b - tables.two_cos_n[kp])
     return _Classified(
-        failed,
+        reason,
         reducible,
         k,
         kp,
         node,
         np.where(reducible, theta, t),
         relation,
-        np.where(reducible, red_residual, irr_residual),
+        residual,
+        alpha_a,
+        alpha_b,
     )
 
 
@@ -543,10 +478,11 @@ def empirical_structure(cfg: SampleConfig) -> dict:
     """Sample, classify, and compare observed structure with the exact graph.
 
     Near-limit irreducible samples (t < 0.02 or t > 0.98) vote for the
-    reducible component they approach: their limit eigenvalue pair
-    (_eigenvalue_pair, exact in t) goes through the same decoder classify
-    uses for reducible pairs.  The votes reconstruct the arc endpoints
-    empirically; agreement with build_graph is reported per arc.
+    reducible component they approach: the kernel decodes their limit
+    eigenvalue pair, exact in t, as it decodes reducible pairs.  The votes
+    reconstruct the arc endpoints empirically; agreement with build_graph
+    is reported per arc.  decode_errors counts the samples whose reason is
+    not OK.
 
     The samples go through the batched pipeline CHUNK at a time, with the
     summary a loop over sample_pair and classify would give.
@@ -567,11 +503,10 @@ def empirical_structure(cfg: SampleConfig) -> dict:
     decode_errors = 0
 
     for start in range(0, cfg.sample_count, CHUNK):
-        out = _classify_arrays(
-            p, *_sample_arrays(cfg, range(start, min(start + CHUNK, cfg.sample_count))), cfg.tol
-        )
-        ok = ~out.failed
-        decode_errors += int(out.failed.sum())
+        draws = _draw_arrays(cfg, range(start, min(start + CHUNK, cfg.sample_count)))
+        out = _classify_arrays(p, *_build_arrays(p, *draws), cfg.tol)
+        ok = out.reason == OK
+        decode_errors += int((~ok).sum())
         # max over the samples in index order, as a running max() would take it
         max_relation = max([max_relation, *out.relation[ok].tolist()])
         max_classification = max([max_classification, *out.residual[ok].tolist()])

@@ -133,6 +133,11 @@ class TestQuaternionArrays:
             want = quaternion_columns((v.a, v.b) for v in (mat_pow(u, k) for u in us))
             for g, w in zip(got, want):
                 assert bits(g) == bits(w), k
+            # a single element takes the ladder on float64 scalars
+            for u, v in zip(us[:20], (mat_pow(u, k) for u in us[:20])):
+                one = _qpow_arrays(quaternion_columns([(u.a, u.b)]), k)
+                assert [c.shape for c in one] == [(1,)] * 4
+                assert bits(np.concatenate(one)) == bits([v.a.real, v.a.imag, v.b.real, v.b.imag])
 
     def test_sup_diff_equals_scalar(self):
         # NaN in any entry but the first is skipped by max(), as in sup_diff

@@ -13,18 +13,31 @@ from tkchar.components import GroupParams, Irr, Red, alpha_root, enumerate_irr
 from tkchar.graph import _endpoint_rule, build_graph, involution_twist
 from tkchar.reps import build_irr, build_red_noncoprime, character, cross_ratio_of_pair
 from tkchar.roots import RootOfUnity, root
-from tkchar.su2 import UnitaryMatrix, conjugate_by, from_quaternion, sup_diff
+from tkchar.su2 import (
+    UnitaryMatrix,
+    conjugate_by,
+    from_quaternion,
+    is_reducible_pair,
+    mat_pow,
+    sup_diff,
+)
 import tkchar.reps
 import tkchar.verify
 from tkchar.verify import (
+    AMBIGUOUS_A,
+    AMBIGUOUS_B,
     CHUNK,
+    OK,
+    PARITY,
+    RELATION,
     AmbiguousDecodeError,
     SampleConfig,
+    _build_arrays,
     _classify_arrays,
-    _decode_red,
-    _eigenvalue_pair,
-    _label,
-    _sample_arrays,
+    _draw,
+    _draw_arrays,
+    _irr,
+    _labels,
     canonical_red_angle,
     classify,
     component_key,
@@ -44,6 +57,11 @@ def columns(matrices) -> tuple[np.ndarray, ...]:
     """Quaternion arrays (Re a, Im a, Re b, Im b) of a list of matrices."""
     parts = ((u.a.real, u.a.imag, u.b.real, u.b.imag) for u in matrices)
     return tuple(np.array(c) for c in zip(*parts))
+
+
+def matrices(q) -> list[UnitaryMatrix]:
+    """The matrices of quaternion arrays (Re a, Im a, Re b, Im b)."""
+    return [UnitaryMatrix(complex(w, x), complex(y, z)) for w, x, y, z in zip(*q)]
 
 
 def rotation(half_angle: float, axis: tuple[float, float, float]) -> UnitaryMatrix:
@@ -95,27 +113,34 @@ class TestClassifyIrreducible:
         # at every label of every order up to 300 and at 1000 and 10000
         mpmath.mp.dps = 50
         for m in [*range(2, 301), 1000, 10000]:
-            for k in range(1, m):
-                assert _label(float(mpmath.pi * k / m), m, 1e-9) == k, (m, k)
+            alpha = np.array([float(mpmath.pi * k / m) for k in range(1, m)])
+            labels, ambiguous = _labels(alpha, m, 1e-9)
+            assert labels.tolist() == list(range(1, m)), m
+            assert not ambiguous.any(), m
 
     def test_nearest_label_ambiguity(self):
-        # an angle exactly halfway between two admissible labels is refused
-        # with both; halfway towards an inadmissible 0 or m is not
-        with pytest.raises(AmbiguousDecodeError) as exc:
-            _label(math.pi / 2, 3, 1e-9)
-        assert exc.value.candidates == (1, 2)
-        with pytest.raises(AmbiguousDecodeError) as exc:
-            _label(2.5 * math.pi / 7, 7, 1e-9)
-        assert exc.value.candidates == (2, 3)
-        assert _label(0.5 * math.pi / 7, 7, 1e-9) == 1
-        assert _label(6.5 * math.pi / 7, 7, 1e-9) == 6
-        assert _label(0.0, 7, 1e-9) == 1
-        assert _label(math.pi, 7, 1e-9) == 6
+        # an angle exactly halfway between two admissible labels is marked,
+        # with the lower one as label; halfway towards an inadmissible 0 or m
+        # is not
+        alpha = np.array([2.5, 0.5, 6.5, 0.0, 7.0]) * math.pi / 7
+        labels, ambiguous = _labels(alpha, 7, 1e-9)
+        assert labels.tolist() == [2, 1, 6, 1, 6]
+        assert ambiguous.tolist() == [True, False, False, False, False]
+        labels, ambiguous = _labels(np.array([math.pi / 2]), 3, 1e-9)
+        assert (labels.tolist(), ambiguous.tolist()) == ([1], [True])
 
-    @pytest.mark.parametrize("m, n", [(525, 524), (1000, 999), (3000, 2999), (10000, 9999)])
-    def test_round_trip_large_orders(self, m, n):
+    @pytest.mark.parametrize(
+        "m, n", [(525, 524), (1000, 999), (3000, 2999), (10000, 9999), (10**8, 10**8 - 1)]
+    )
+    def test_round_trip_large_orders(self, m, n, monkeypatch):
         # small rotation angles (irr:1,1) and the far end (k = m - 1) keep
-        # their labels and coordinate under Haar conjugation at large orders
+        # their labels and coordinate under Haar conjugation at large orders,
+        # and classify never enumerates the O(m*n) irreducible labels
+        def refuse(p):
+            raise AssertionError(f"irreducible labels of {p} enumerated")
+
+        monkeypatch.setattr(tkchar.verify, "_irr", refuse)
+        monkeypatch.setattr(tkchar.verify, "enumerate_irr", refuse)
         p = GroupParams(m, n)
         rng = np.random.default_rng(m)
         labels = [(1, 1), (m // 2, m // 2), (m - 1, n - 1 - (m - n) % 2)]
@@ -294,8 +319,6 @@ class TestSamplePair:
         assert sup_diff(a1, a2) > 1e-3
 
     def test_relation_satisfied(self):
-        from tkchar.su2 import mat_pow
-
         cfg = SampleConfig(params=GroupParams(6, 9), seed=5)
         for idx in range(200):
             a, b = sample_pair(cfg, idx)
@@ -456,15 +479,22 @@ class TestEmpiricalStructure:
             ((300, 450), (0.0199, 0.9801, 0.01, 0.99)),
         ]:
             p = GroupParams(m, n)
-            for arc in build_graph(p).arcs:
-                k, kp = arc.component.k, arc.component.kp
-                for t in ts:
-                    side = 0 if t < 0.5 else 1
-                    a, b = build_irr(p, k, kp, t)
-                    g = haar(rng)
-                    a, b = conjugate_by(a, g), conjugate_by(b, g)
-                    node = _decode_red(p, *_eigenvalue_pair(a, b))[0]
-                    assert node == arc.endpoints[side].node, ((m, n), (k, kp), t)
+            graph = build_graph(p)
+            arcs = graph.k.size  # arc j is _irr(p)[j]
+            for t in ts:
+                side = 0 if t < 0.5 else 1
+                pairs = _build_arrays(
+                    p,
+                    np.zeros(arcs, dtype=bool),
+                    np.arange(arcs),
+                    np.full(arcs, t),
+                    rng.normal(size=(arcs, 4)),
+                )
+                out = _classify_arrays(p, *pairs, 1e-9)
+                assert (out.reason == OK).all() and not out.reducible.any(), ((m, n), t)
+                assert out.k.tolist() == graph.k.tolist() and out.kp.tolist() == graph.kp.tolist()
+                wrong = np.flatnonzero(out.node != graph.node[:, side])
+                assert wrong.size == 0, ((m, n), t, graph.k[wrong[:3]], graph.kp[wrong[:3]])
 
     def test_summary_json_is_strict(self):
         with pytest.raises(ValueError):
@@ -481,53 +511,85 @@ class TestEmpiricalStructure:
         assert s["ok"] is False
 
 
+def reference_pair(cfg: SampleConfig, comps, index: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
+    """The index-th sample built by the scalar builders from _draw, comps
+    being enumerate_irr(cfg.params)."""
+    p = cfg.params
+    reducible, j, u, g = _draw(cfg, index)
+    if reducible:
+        a, b = build_red_noncoprime(p, j, cmath.exp(1j * (2.0 * math.pi * u)))
+    else:
+        comp = comps[j]
+        a, b = build_irr(p, comp.k, comp.kp, min(max(u, 1e-12), 1.0 - 1e-12))
+    conj = from_quaternion(complex(g[0], g[1]), complex(g[2], g[3]))
+    return conjugate_by(a, conj), conjugate_by(b, conj)
+
+
+def quaternion_bits(x: UnitaryMatrix) -> list[int]:
+    return bits([x.a.real, x.a.imag, x.b.real, x.b.imag])
+
+
 class TestBatchedOracle:
-    """empirical_structure's chunked pipeline against the scalar reference."""
+    """empirical_structure's chunked pipeline and classify, a batch of one."""
 
     @pytest.mark.parametrize("m, n", [(4, 6), (12, 18), (7, 4), (30, 45)])
     def test_batched_draws_equal_sample_pair(self, m, n):
-        # bit for bit at every index, over several chunks and a partial one
+        # the array builders equal the scalar builders bit for bit at every
+        # index, over several chunks and a partial one, and sample_pair, a
+        # batch of one, is the same pair (checked at every tenth index)
         cfg = SampleConfig(params=GroupParams(m, n), sample_count=2100, seed=8)
+        comps = enumerate_irr(cfg.params)
         for start in range(0, cfg.sample_count, CHUNK):
             indices = range(start, min(start + CHUNK, cfg.sample_count))
-            batch = _sample_arrays(cfg, indices)
+            batch = [matrices(q) for q in _build_arrays(cfg.params, *_draw_arrays(cfg, indices))]
             for pos, index in enumerate(indices):
-                for got, want in zip(batch, sample_pair(cfg, index)):
-                    assert bits([c[pos] for c in got]) == bits(
-                        [want.a.real, want.a.imag, want.b.real, want.b.imag]
-                    ), index
+                want = [quaternion_bits(x) for x in reference_pair(cfg, comps, index)]
+                assert [quaternion_bits(q[pos]) for q in batch] == want, index
+                if index % 10 == 0:
+                    assert [quaternion_bits(x) for x in sample_pair(cfg, index)] == want, index
 
-    def assert_kernel_matches_classify(self, p, pairs, tol=1e-9):
+    def assert_classify_raises(self, p, pairs, reasons, tol=1e-9):
+        # the kernel's reason codes, and classify raising on exactly the
+        # pairs whose code is not OK
         out = _classify_arrays(p, columns(a for a, _ in pairs), columns(b for _, b in pairs), tol)
-        for pos, (a, b) in enumerate(pairs):
-            try:
-                point = classify(p, a, b, tol)
-            except ValueError:
-                assert out.failed[pos], pos
-                continue
-            assert not out.failed[pos], pos
-            if out.reducible[pos]:
-                assert point.component == Red(int(out.node[pos])), pos
+        assert out.reason.tolist() == reasons
+        for (a, b), reason in zip(pairs, reasons):
+            if reason == OK:
+                classify(p, a, b, tol)
             else:
-                assert point.component == Irr(int(out.k[pos]), int(out.kp[pos])), pos
-            assert point.coordinate == out.coordinate[pos], pos
-            assert point.relation_residual == out.relation[pos], pos
-            assert point.classification_residual == out.residual[pos], pos
-        return out
+                with pytest.raises(ValueError):
+                    classify(p, a, b, tol)
 
     @pytest.mark.parametrize(
         "m, n", [(4, 6), (12, 18), (7, 4), (30, 45), (2, 202), (202, 2), (200, 300)]
     )
     def test_kernel_equals_classify(self, m, n):
+        # the kernel's decisions on sampled pairs against the scalar su2
+        # references and the drawn component and coordinate
         p = GroupParams(m, n)
         cfg = SampleConfig(params=p, sample_count=700, seed=m)
-        pairs = [sample_pair(cfg, i) for i in range(cfg.sample_count)]
-        out = self.assert_kernel_matches_classify(p, pairs)
+        reducible, j, u, _ = draws = _draw_arrays(cfg, range(cfg.sample_count))
+        a, b = _build_arrays(p, *draws)
+        out = _classify_arrays(p, a, b, cfg.tol)
+        assert (out.reason == OK).all()
+        assert out.reducible.tolist() == reducible.tolist()
         assert out.reducible.any() and not out.reducible.all()
+        for pos, (x, y) in enumerate(zip(matrices(a), matrices(b))):
+            assert out.reducible[pos] == is_reducible_pair(x, y, cfg.tol), pos
+            relation = sup_diff(mat_pow(x, m), mat_pow(y, n))
+            assert bits([out.relation[pos]]) == bits([relation]), pos
+            if reducible[pos]:
+                node = canonical_red_angle(p, int(j[pos]), 2.0 * math.pi * u[pos])[0]
+                assert out.node[pos] == node, pos
+            else:
+                comp = _irr(p)[j[pos]]
+                assert (out.k[pos], out.kp[pos]) == (comp.k, comp.kp), pos
+                t = min(max(u[pos], 1e-12), 1.0 - 1e-12)
+                assert abs(out.coordinate[pos] - t) <= 1e-9, pos
 
     def test_kernel_refuses_what_classify_refuses(self):
-        # corrupted pairs between clean ones: the failure mask marks exactly
-        # the pairs classify raises on, whatever the reason
+        # corrupted pairs between clean ones: each gets the code of the
+        # first check it fails, and classify raises on exactly those
         p = GroupParams(4, 4)
         x, y = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
         clean = [build_irr(p, 1, 3, 0.3), build_red_noncoprime(p, 1, cmath.exp(0.7j))]
@@ -537,26 +599,28 @@ class TestBatchedOracle:
         # are within 1e-7 of the identity
         parity = (rotation(1e-8, x), rotation(math.pi / 2, y))
         pairs = [clean[0], nan, clean[1], off_relation, clean[0], parity, clean[1]]
-        out = self.assert_kernel_matches_classify(p, pairs)
-        assert out.failed.tolist() == [False, True, False, True, False, True, False]
-        with pytest.raises(ValueError, match="parity"):
+        self.assert_classify_raises(p, pairs, [OK, RELATION, OK, RELATION, OK, PARITY, OK])
+        with pytest.raises(ValueError, match=r"relation \(residual nan\)"):
+            classify(p, *nan)
+        with pytest.raises(ValueError, match=r"decoded labels \(1, 2\) violate the parity"):
             classify(p, *parity)
 
     def test_kernel_refuses_ambiguous_labels(self):
-        # a's half-angle pi/2 + 1e-7 puts k = alpha*m/pi 1.3e-7 past 2,
+        # a's (b's) half-angle pi/2 + 1e-7 puts k = alpha*m/pi 1.3e-7 past 2,
         # which a tolerance just under 1/2 cannot separate from 2.5; the
         # axes stay orthogonal, so the pair is still irreducible
         p = GroupParams(4, 4)
         tol = 0.5 - 1e-8
-        ambiguous = (
-            rotation(math.pi / 2 + 1e-7, (1.0, 0.0, 0.0)),
-            rotation(math.pi / 2, (0.0, 1.0, 0.0)),
-        )
+        x, y = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+        ambiguous_a = (rotation(math.pi / 2 + 1e-7, x), rotation(math.pi / 2, y))
+        ambiguous_b = (rotation(math.pi / 2, x), rotation(math.pi / 2 + 1e-7, y))
         clean = build_irr(p, 2, 2, 0.5)
-        with pytest.raises(AmbiguousDecodeError):
-            classify(p, *ambiguous, tol)
-        out = self.assert_kernel_matches_classify(p, [clean, ambiguous, clean], tol)
-        assert out.failed.tolist() == [False, True, False]
+        pairs = [clean, ambiguous_a, clean, ambiguous_b]
+        self.assert_classify_raises(p, pairs, [OK, AMBIGUOUS_A, OK, AMBIGUOUS_B], tol)
+        for pair in (ambiguous_a, ambiguous_b):
+            with pytest.raises(AmbiguousDecodeError, match=r"fits labels \(2, 3\)") as exc:
+                classify(p, *pair, tol)
+            assert exc.value.candidates == (2, 3)
 
     @pytest.mark.parametrize("chunk", [1, 7, 10_000])
     def test_chunk_size_does_not_move_bytes(self, monkeypatch, chunk):
@@ -569,7 +633,7 @@ class TestBatchedOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("scalar path called")
 
-        for name in ("sample_pair", "classify", "build_irr", "mat_pow", "conjugate_by"):
+        for name in ("sample_pair", "classify", "conjugate_by", "is_reducible_pair", "sup_diff"):
             monkeypatch.setattr(tkchar.verify, name, refuse)
         s = empirical_structure(SampleConfig(params=GroupParams(4, 6), sample_count=300, seed=1))
         assert s["ok"] is True
