@@ -5,18 +5,23 @@ one configuration:
 
 - draw loop: the scalar stream, `_draw` once per index (the reference
   the batched stream replaces);
-- stream: `_draw_arrays`, the array replica with its fallbacks and guard;
-- builders: `_build_arrays` on the stream's arrays;
+- replica: `stream.draws`, the uint64 array replica of the stream;
+- slow draws: `_draw_arrays` minus the replica, i.e. the indices the
+  replica leaves to numpy, drawn from their seeded states, and the guards
+  (derived);
+- builders: `_build_arrays` on the completed draws;
 - kernel: `_classify_arrays` on the builders' pairs;
 - graph: `build_graph`, once per run;
-- tally: `empirical_structure` minus stream, builders, kernel and graph,
-  i.e. the counts, maxima, votes and adjacency list (derived);
+- tally: `empirical_structure` minus replica, slow draws, builders,
+  kernel and graph, i.e. the counts, maxima, votes and adjacency list
+  (derived);
 - summary_to_json: serializing the summary;
 - empirical_structure: the whole call.
 
 Each round runs every stage once, in the order above, so drift of the
 host hits all stages alike; the figures are medians over ROUNDS rounds,
-after one untimed warm-up round that builds the per-order tables.
+after one untimed warm-up round that builds the per-order tables.  A
+second comment line gives the count of indices left to numpy.
 
 Usage:
     python3 scripts/oracle_stages.py -m 30 -n 45 -N 16000 --seed 1
@@ -28,6 +33,7 @@ import argparse
 import statistics
 import time
 
+from tkchar import stream
 from tkchar.components import GroupParams
 from tkchar.graph import build_graph
 from tkchar.verify import (
@@ -37,6 +43,7 @@ from tkchar.verify import (
     _classify_arrays,
     _draw,
     _draw_arrays,
+    _irr,
     empirical_structure,
     summary_to_json,
 )
@@ -50,19 +57,25 @@ def timed(f, *args):
     return time.perf_counter() - start, value
 
 
-def one_round(cfg: SampleConfig) -> dict[str, float]:
+def one_round(cfg: SampleConfig) -> tuple[dict[str, float], int]:
+    """The stage times of one round and the count of indices left to numpy."""
     p = cfg.params
     chunks = [range(s, min(s + CHUNK, cfg.sample_count)) for s in range(0, cfg.sample_count, CHUNK)]
+    args = (cfg.reducible_fraction, p.d // 2 + 1, len(_irr(p)))
     t = {"draw loop": timed(lambda: [_draw(cfg, i) for i in range(cfg.sample_count)])[0]}
-    t["stream"], draws = timed(lambda: [_draw_arrays(cfg, c) for c in chunks])
+    t["replica"], replicas = timed(lambda: [stream.draws(cfg.seed, c, *args) for c in chunks])
+    slow = sum(int((~r[0]).sum()) for r in replicas)
+    stream_s, draws = timed(lambda: [_draw_arrays(cfg, c) for c in chunks])
+    t["slow draws"] = stream_s - t["replica"]
     t["builders"], pairs = timed(lambda: [_build_arrays(p, *d) for d in draws])
     t["kernel"] = timed(lambda: [_classify_arrays(p, a, b, cfg.tol) for a, b in pairs])[0]
     t["graph"] = timed(build_graph, p)[0]
     total, summary = timed(empirical_structure, cfg)
-    t["tally"] = total - t["stream"] - t["builders"] - t["kernel"] - t["graph"]
+    staged = ("replica", "slow draws", "builders", "kernel", "graph")
+    t["tally"] = total - sum(t[s] for s in staged)
     t["summary_to_json"] = timed(summary_to_json, summary)[0]
     t["empirical_structure"] = total
-    return t
+    return t, slow
 
 
 def main() -> None:
@@ -75,10 +88,11 @@ def main() -> None:
 
     p = GroupParams(args.m, args.n)
     cfg = SampleConfig(params=p, sample_count=args.samples, seed=args.seed)
-    one_round(cfg)
-    rounds = [one_round(cfg) for _ in range(ROUNDS)]
+    slow = one_round(cfg)[1]
+    rounds = [one_round(cfg)[0] for _ in range(ROUNDS)]
     print(f"# (m, n) = ({args.m}, {args.n}), N = {args.samples}, seed {args.seed}, "
           f"median of {ROUNDS} rounds")
+    print(f"# {slow} of {args.samples} indices left to numpy ({100 * slow / args.samples:.1f}%)")
     print(f"{'stage':<20} {'seconds':>9} {'us/sample':>10}")
     for stage in rounds[0]:
         median = statistics.median(r[stage] for r in rounds)

@@ -19,10 +19,15 @@ range of indices with uint64 array arithmetic, in four pieces:
   recovers both from numpy.
 
 Only the common path of each routine is computed.  An index whose draw
-leaves it (a Lemire threshold test, a ziggurat wedge or tail, a range
-past 2**32) is marked slow; verify draws those with numpy itself, and
-checks one fast index per batch against numpy, so a numpy release that
-changed the stream makes verify raise instead of moving a byte.
+leaves it (a Lemire threshold test, a ziggurat wedge or tail, about 6% of
+indices) is marked slow.  draws() also returns every index's seeded
+PCG64 state, and verify draws the slow indices with numpy's own Generator
+loaded with it (pcg64_state), about 10 us against 30 us for a fresh
+default_rng.  Indices past 2**32 and ranges K past 2**32 are not seeded
+here; verify builds default_rng for those.  verify checks the first fast
+and the first slow index of every block of 512 against default_rng, so a
+numpy release that changed the stream or its seeding makes verify raise
+instead of moving a byte.
 """
 
 from __future__ import annotations
@@ -274,31 +279,41 @@ def _double(raw: np.ndarray) -> np.ndarray:
     return (raw >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
+def _seeded(seed: int, indices: range) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """PCG64's (state, inc) as 32-bit limbs, seeded from SeedSequence((seed,
+    index)) for every index: state 0, a step, the seed added, a step."""
+    index = np.arange(indices.start, indices.stop, dtype=np.uint64)
+    entropy = [np.full(len(indices), w, dtype=np.uint64) for w in _words(seed)] + [index]
+    w = _state_words(entropy)
+    inc = _carry([2 * w[6] + 1, 2 * w[7], 2 * w[4], 2 * w[5]])
+    return _step(_carry([x + y for x, y in zip(inc, (w[2], w[3], w[0], w[1]))]), inc), inc
+
+
 def draws(
     seed: int, indices: range, fraction: float, k_red: int, k_irr: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(fast, reducible, j, u, g): verify._draw's stream for every index of
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(fast, reducible, j, u, g, seeded): verify._draw's stream for every index of
     indices (a range of step 1), as arrays, with k_red = K of integers(0, K)
     on the reducible branch and k_irr on the irreducible one.
 
     fast marks the indices whose draws stayed on the common path of every
     routine; the values of the others are meaningless.  g has one row of
-    four Gaussians per index.
+    four Gaussians per index.  seeded holds each index's PCG64 state right
+    after seeding, one row (state low, state high, inc low, inc high) of
+    64-bit words per index, which pcg64_state turns into numpy's state
+    dict; it is None where the replica cannot seed the indices.
     """
     size = len(indices)
     if indices.stop > MASK32 + 1 or max(k_red, k_irr) > MASK32:
         # more entropy words per index, or numpy's 64-bit bounded integers
         fast = np.zeros(size, dtype=bool)
         zeros = np.zeros(size)
-        return fast, fast.copy(), zeros.astype(np.int64), zeros, np.zeros((size, 4))
+        return fast, fast.copy(), zeros.astype(np.int64), zeros, np.zeros((size, 4)), None
 
-    # SeedSequence((seed, index)), then PCG64's seeding: state 0, a step,
-    # the seed added, a step; every draw below takes the output of one more
-    index = np.arange(indices.start, indices.stop, dtype=np.uint64)
-    entropy = [np.full(size, w, dtype=np.uint64) for w in _words(seed)] + [index]
-    w = _state_words(entropy)
-    inc = _carry([2 * w[6] + 1, 2 * w[7], 2 * w[4], 2 * w[5]])
-    state = _step(_carry([x + y for x, y in zip(inc, (w[2], w[3], w[0], w[1]))]), inc)
+    # every draw takes the output of one more step from the seeded state
+    state, inc = _seeded(seed, indices)
+    limbs = [*state, *inc]
+    seeded = np.stack([limbs[i] | (limbs[i + 1] << 32) for i in range(0, 8, 2)], axis=1)
     raw = []
     for _ in range(7):
         state = _step(state, inc)
@@ -321,4 +336,17 @@ def draws(
         fast &= rabs < _KI[layer]
         x = rabs.astype(np.float64) * _WI[layer]
         g[:, q] = 0.0 + 1.0 * np.where(((r >> 8) & 1) == 1, -x, x)
-    return fast, reducible, j, u, g
+    return fast, reducible, j, u, g, seeded
+
+
+def pcg64_state(words: list[int]) -> dict:
+    """numpy's PCG64 state dict of one row of draws()'s seeded words, as
+    Python ints: a Generator on it makes the index's draws, as
+    default_rng((seed, index)) does."""
+    state_lo, state_hi, inc_lo, inc_hi = words
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

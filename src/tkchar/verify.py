@@ -9,14 +9,17 @@ an option since the solution set has measure zero in SU(2) x SU(2).
 Randomness is reproducible and order-independent: each sample index gets
 its own generator seeded by the pair (seed, index), so the stream for a
 given sample never depends on how many other samples were drawn, by whom,
-or in which thread.  _draw makes that generator's calls, in order, for
-one index; it is the one definition of the stream.  The batched path
-computes the same numbers for a chunk of indices at once with
-tkchar.stream, an array replica of numpy's SeedSequence, PCG64, bounded
-integers and ziggurat normals that covers their common path.  An index
-whose draw leaves it (about 6% of them) is drawn by _draw itself, and so
-is one replicated index per chunk: if that one differs from _draw by a
-bit, verify raises RuntimeError rather than emit a different stream.
+or in which thread.  _calls makes a generator's calls, in order, and
+_draw makes them on that index's generator; together they are the one
+definition of the stream.  The batched path computes the same numbers for
+a chunk of indices at once with tkchar.stream, an array replica of numpy's
+SeedSequence, PCG64, bounded integers and ziggurat normals that covers
+their common path.  An index whose draw leaves it (about 6% of them) gets
+_calls on one Generator loaded with the PCG64 state the replica seeded
+for it, so no generator is built per index.  In every block of GUARD
+indices, the first index of each kind is drawn again by _draw itself: if
+one differs by a bit, verify raises RuntimeError rather than emit a
+different stream.
 
 Classification inverts the construction from the matrices alone, reading
 every decision from the polar form (half-angle alpha, axis v) of each
@@ -37,8 +40,10 @@ CHUNK samples at a time through the draws (_draw_arrays), the builders
 relation and classifies every pair at once (_classify_arrays), and the
 tally.  sample_pair and classify are the same pipeline on a batch of one;
 classify raises from the kernel's reason code.  Every array element repeats
-the floating-point operations of build_irr, build_red_noncoprime,
-conjugate_by and mat_pow in their order, bit for bit.
+the floating-point operations of build_irr, build_red_noncoprime (with
+CPython's complex power), conjugate_by and mat_pow in their order, bit for
+bit, so no per-sample Python call is left on the draw and build path
+beyond the slow draws and the math functions numpy rounds differently.
 """
 
 from __future__ import annotations
@@ -61,12 +66,13 @@ from .components import (
     enumerate_red,
 )
 from .graph import _endpoint_rule, _sig12, build_graph
-from .reps import build_red_noncoprime, character
+from .reps import _alpha_conj, character
 from .roots import root
 from .su2 import (
     DEFAULT_TOL,
     QuaternionArrays,
     UnitaryMatrix,
+    _cmul,
     _qmul_arrays,
     _qpow_arrays,
     _sup_diff_arrays,
@@ -87,7 +93,12 @@ RESIDUALS_FLAG_CLASSIFICATION = 1e-6
 
 # Samples per batch of empirical_structure: bounds the batch's arrays, so
 # peak memory does not grow with the sample count.
-CHUNK = 512
+CHUNK = 2048
+
+# Indices per block of the stream guard: in every block of GUARD indices
+# (from index 0), the first index the array stream draws and the first it
+# leaves to a seeded Generator are drawn again by _draw and must agree.
+GUARD = 512
 
 # The kernel's reason code per pair: OK, or why classify refuses the pair
 # (the relation fails, a's or b's label is ambiguous, the labels' parity).
@@ -154,19 +165,23 @@ class ClassifiedPoint:
     classification_residual: float
 
 
-def _draw(cfg: SampleConfig, index: int) -> tuple[bool, int, float, np.ndarray]:
-    """The index-th draw of the stream, (reducible, j, u, g): the Generator
-    calls, in their order, that define every sample.
+def _calls(cfg: SampleConfig, rng: np.random.Generator) -> tuple[bool, int, float, np.ndarray]:
+    """One draw (reducible, j, u, g) from rng: the Generator calls, in their
+    order, that define every sample.
 
     j is the raw reducible circle or the index into _irr(p), u the uniform
     that becomes the circle angle 2*pi*u or the coordinate t, and g the
     four Gaussians of the Haar conjugator.
     """
     p = cfg.params
-    rng = np.random.default_rng((cfg.seed, index))
     if rng.random() < cfg.reducible_fraction:
         return True, int(rng.integers(0, p.d // 2 + 1)), rng.random(), rng.normal(size=4)
     return False, int(rng.integers(len(_irr(p)))), rng.random(), rng.normal(size=4)
+
+
+def _draw(cfg: SampleConfig, index: int) -> tuple[bool, int, float, np.ndarray]:
+    """The index-th draw of the stream: _calls on default_rng((seed, index))."""
+    return _calls(cfg, np.random.default_rng((cfg.seed, index)))
 
 
 def _one(x: UnitaryMatrix) -> QuaternionArrays:
@@ -252,25 +267,41 @@ def _draw_bits(reducible, j, u, g) -> tuple[bool, int, bytes]:
     return bool(reducible), int(j), np.append(u, g).tobytes()
 
 
+def _firsts(positions: np.ndarray, indices: range) -> list[int]:
+    """The first of the increasing positions into indices in each GUARD block."""
+    block = (indices.start + positions) // GUARD
+    return positions[np.flatnonzero(np.diff(block, prepend=-1))].tolist()
+
+
 def _draw_arrays(
     cfg: SampleConfig, indices: range
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """_draw(cfg, i) for every i in indices, as arrays (reducible, j, u, g).
 
-    stream.draws computes them as uint64 array arithmetic; every index it
-    leaves to numpy is drawn by _draw, and so is the first one it does not,
-    which must then agree bit for bit, else RuntimeError.
+    stream.draws computes them as uint64 array arithmetic.  An index it
+    leaves to numpy is drawn by _calls on one Generator loaded with the
+    index's seeded state, or by _draw where the replica cannot seed it.  In
+    each GUARD block the first index of either kind is drawn again by _draw
+    and must agree bit for bit, else RuntimeError.
     """
     from . import stream  # here, so that importing the CLI does not load its tables
 
     p = cfg.params
-    fast, *arrays = stream.draws(
+    fast, *arrays, seeded = stream.draws(
         cfg.seed, indices, cfg.reducible_fraction, p.d // 2 + 1, len(_irr(p))
     )
-    for pos in np.flatnonzero(~fast).tolist():
-        for column, value in zip(arrays, _draw(cfg, indices[pos])):
-            column[pos] = value
-    for pos in np.flatnonzero(fast)[:1].tolist():
+    slow = np.flatnonzero(~fast)
+    if seeded is None:
+        drawn = [_draw(cfg, indices[pos]) for pos in slow.tolist()]
+    else:
+        rng = np.random.Generator(np.random.PCG64(0))  # its state is set per index
+        drawn = []
+        for words in seeded[slow].tolist():
+            rng.bit_generator.state = stream.pcg64_state(words)
+            drawn.append(_calls(cfg, rng))
+    for column, values in zip(arrays, zip(*drawn)):
+        column[slow] = values
+    for pos in _firsts(np.flatnonzero(fast), indices) + _firsts(slow, indices):
         if _draw_bits(*_draw(cfg, indices[pos])) != _draw_bits(*(c[pos] for c in arrays)):
             raise RuntimeError(
                 f"tkchar.stream differs from numpy's default_rng((seed, index)) at "
@@ -279,22 +310,64 @@ def _draw_arrays(
     return tuple(arrays)
 
 
+def _cpow_arrays(re: np.ndarray, im: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """CPython's complex power (re + i*im) ** e for an int 1 <= e, elementwise
+    on non-zero bases: c_powu's square-and-multiply ladder from r = 1 up to
+    e = 100, _Py_c_pow's polar form (C pow, atan2, cos, sin) beyond."""
+    if e <= 100:
+        x = (re, im)
+        r = (np.ones_like(re), np.zeros_like(re))
+        while e:
+            if e & 1:
+                r = _cmul(*r, *x)
+            e >>= 1
+            if e:
+                x = _cmul(*x, *x)
+        return r
+    length = _per_element(lambda v: math.pow(v, e), np.hypot(re, im))
+    phase = _per_element(math.atan2, im, re) * float(e)
+    return length * _per_element(math.cos, phase), length * _per_element(math.sin, phase)
+
+
+def _red_arrays(
+    p: GroupParams, j: np.ndarray, u: np.ndarray
+) -> tuple[QuaternionArrays, QuaternionArrays]:
+    """build_red_noncoprime(p, j, cmath.exp(1j * (2*pi*u))) elementwise.
+
+    cmath.exp of the imaginary 2*pi*u is (cos, sin) of it; reps._unit
+    divides by abs(t), C hypot, as CPython's complex / float, i.e.
+    (re + im*0.0, im - re*0.0) / nrm; then lam = t ** b and
+    mu = _alpha_conj(p, j) * t ** a.
+    """
+    x = 2.0 * math.pi * u
+    re, im = _per_element(math.cos, x), _per_element(math.sin, x)
+    nrm = np.hypot(re, im)
+    if (np.abs(nrm - 1.0) > 1e-9).any():
+        raise ValueError(f"coordinate must lie on the unit circle, |t| = {nrm.max()}")
+    re, im = (re + im * 0.0) / nrm, (im - re * 0.0) / nrm
+    alpha = {i: _alpha_conj(p, i) for i in set(j.tolist())}
+    alpha = np.array([alpha[i] for i in j.tolist()], dtype=complex)
+    lam = _cpow_arrays(re, im, p.b)
+    mu = _cmul(alpha.real, alpha.imag, *_cpow_arrays(re, im, p.a))
+    zero = np.zeros(j.size)
+    return (*lam, zero, zero), (*mu, zero, zero)
+
+
 def _build_arrays(
     p: GroupParams, reducible: np.ndarray, j: np.ndarray, u: np.ndarray, g: np.ndarray
 ) -> tuple[QuaternionArrays, QuaternionArrays]:
     """The pairs of the draws (reducible, j, u, g) of _draw_arrays:
-    build_red_noncoprime(p, j, exp(2*pi*i*u)) or build_irr on _irr(p)[j] at
-    t = u clamped into (0, 1), conjugated by from_quaternion of g."""
+    build_red_noncoprime(p, j, exp(2*pi*i*u)) (_red_arrays) or build_irr on
+    _irr(p)[j] at t = u clamped into (0, 1), conjugated by from_quaternion
+    of g."""
     a = tuple(np.zeros(reducible.size) for _ in range(4))
     b = tuple(np.zeros(reducible.size) for _ in range(4))
 
-    # Reducible draws one at a time: t ** b in build_red_noncoprime is
-    # CPython's complex power, repeated squaring up to |b| = 100, exp/log beyond.
     red = np.flatnonzero(reducible)
-    for pos, jr, ur in zip(red.tolist(), j[red].tolist(), u[red].tolist()):
-        x, y = build_red_noncoprime(p, jr, cmath.exp(1j * (2.0 * math.pi * ur)))
-        for q, z in ((a, x), (b, y)):
-            q[0][pos], q[1][pos], q[2][pos], q[3][pos] = z.a.real, z.a.imag, z.b.real, z.b.imag
+    if red.size:
+        for q, z in zip((a, b), _red_arrays(p, j[red], u[red])):
+            for column, values in zip(q, z):
+                column[red] = values
 
     # build_irr: a = diag(lam), b = rot @ diag(mu) @ rot.inv() with
     # rot = (sqrt(1 - t), sqrt(t)) as complex numbers

@@ -211,6 +211,10 @@ GOLDEN_SHA256 = {
         "7fc2a66b538063ccb99087f22aacc0e21de14b1d78987218b36de4b72b1764d8",
     ("verify", "-m", "202", "-n", "2", "-N", "2000", "--seed", "1"):
         "6c7d930e6611966b5350a8c82f2018c1731c4b44aace85c602fd7beef65580c7",
+    # b = 100, the last exponent CPython's complex power takes by repeated
+    # multiplication
+    ("verify", "-m", "2", "-n", "200", "-N", "2000", "--seed", "1"):
+        "ddc2ffd56cc9fb2b7bc76f793e9eb443345b89816e9417843d96ba7ad2ee15e2",
 }
 
 

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from tkchar import stream
 from tkchar.components import GroupParams
 from tkchar.graph import build_graph, to_dot, to_json, to_svg_schematic
+from tkchar.verify import SampleConfig, _irr
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -47,8 +49,11 @@ def test_render_figures(tmp_path):
 def test_oracle_stages():
     proc = run_script("oracle_stages.py", "-m", "4", "-n", "6", "-N", "600", "--seed", "2")
     assert proc.returncode == 0, proc.stderr
-    comment, header, *rows = proc.stdout.splitlines()
+    comment, slow, header, *rows = proc.stdout.splitlines()
     assert comment.startswith("# (m, n) = (4, 6), N = 600, seed 2")
+    cfg = SampleConfig(params=GroupParams(4, 6), sample_count=600, seed=2)
+    fast = stream.draws(cfg.seed, range(600), cfg.reducible_fraction, 2, len(_irr(cfg.params)))[0]
+    assert slow.startswith(f"# {int((~fast).sum())} of 600 indices left to numpy (")
     assert header.split() == ["stage", "seconds", "us/sample"]
     stages = {}
     for row in rows:
@@ -57,7 +62,7 @@ def test_oracle_stages():
         # seconds are printed to 0.1 ms, i.e. 0.083 us per sample here
         assert float(per_sample) == pytest.approx(1e6 * float(seconds) / 600, abs=0.1)
     assert list(stages) == [
-        "draw loop", "stream", "builders", "kernel", "graph", "tally", "summary_to_json",
-        "empirical_structure",
+        "draw loop", "replica", "slow draws", "builders", "kernel", "graph", "tally",
+        "summary_to_json", "empirical_structure",
     ]
-    assert all(stages[s] > 0 for s in stages if s != "tally")
+    assert all(stages[s] > 0 for s in stages if s not in ("slow draws", "tally"))  # derived

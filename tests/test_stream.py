@@ -1,5 +1,5 @@
 """The array replica of numpy's default_rng((seed, index)) stream against
-numpy itself: bit for bit, its fallback and its guard."""
+numpy itself: bit for bit, its seeded states, its fallback and its guards."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,9 @@ from tkchar import stream
 from tkchar.components import GroupParams
 from tkchar.verify import (
     CHUNK,
+    GUARD,
     SampleConfig,
+    _calls,
     _draw,
     _draw_arrays,
     _draw_bits,
@@ -26,22 +28,34 @@ def replica(cfg, indices):
     return stream.draws(cfg.seed, indices, cfg.reducible_fraction, p.d // 2 + 1, len(_irr(p)))
 
 
+def seeded_draw(cfg, words):
+    """_calls on a Generator loaded with one row of the replica's seeded words."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = stream.pcg64_state(words)
+    return _calls(cfg, rng)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 8, 424242, 2**31 - 1, 2**32 - 1, 2**32])
 def test_replica_equals_draw(seed):
-    # every fast-path index of the replica, and every index of _draw_arrays,
-    # is _draw's draw bit for bit; chunks start at zero and past it
+    # every fast-path index of the replica, every index drawn from its
+    # seeded state (the slow ones among them) and every index of
+    # _draw_arrays is _draw's draw bit for bit; chunks start at zero and past it
+    slow = 0
     for m, n in ORDERS:
         for fraction in (0.0, 0.25, 1.0):
             cfg = SampleConfig(params=GroupParams(m, n), seed=seed, reducible_fraction=fraction)
             for indices in (range(0, 120), range(777, 897)):
-                fast, *arrays = replica(cfg, indices)
+                fast, *arrays, seeded = replica(cfg, indices)
                 assert fast.mean() > 0.8, (m, n, fraction)
+                slow += int((~fast).sum())
                 batch = _draw_arrays(cfg, indices)
                 for pos, index in enumerate(indices):
                     want = _draw_bits(*_draw(cfg, index))
                     assert _draw_bits(*(c[pos] for c in batch)) == want, (m, n, fraction, index)
+                    assert _draw_bits(*seeded_draw(cfg, seeded[pos].tolist())) == want, (m, n, index)
                     if fast[pos]:
                         assert _draw_bits(*(c[pos] for c in arrays)) == want, (m, n, index)
+    assert slow > 0
 
 
 def test_both_branches_and_no_integer_draw():
@@ -49,7 +63,7 @@ def test_both_branches_and_no_integer_draw():
     # reducible one at d = 1; both branches occur at fraction 0.25
     for m, n in ((2, 3), (7, 4), (4, 6)):
         cfg = SampleConfig(params=GroupParams(m, n), seed=5)
-        fast, reducible, j, u, g = replica(cfg, range(300))
+        fast, reducible, j, u, g, _ = replica(cfg, range(300))
         assert reducible.any() and not reducible.all()
         if m == 2:
             assert not j[~reducible].any()
@@ -58,10 +72,12 @@ def test_both_branches_and_no_integer_draw():
 
 
 def test_indices_past_32_bits_fall_back():
-    # an index of 2**32 or more takes two entropy words; _draw draws those
+    # an index of 2**32 or more takes two entropy words; the replica seeds
+    # none of them, and _draw draws those
     cfg = SampleConfig(params=GroupParams(4, 6), seed=3)
     indices = range(2**32 - 3, 2**32 + 3)
-    assert not replica(cfg, indices)[0].any()
+    fast, *_, seeded = replica(cfg, indices)
+    assert not fast.any() and seeded is None
     batch = _draw_arrays(cfg, indices)
     for pos, index in enumerate(indices):
         assert _draw_bits(*(c[pos] for c in batch)) == _draw_bits(*_draw(cfg, index))
@@ -113,7 +129,7 @@ def test_tables_are_numpys():
 
 
 def test_corrupted_table_raises(monkeypatch):
-    # the guard index is the first fast one of the chunk; corrupting the
+    # a guard index is the first fast one of the first block; corrupting the
     # layers of all its outputs changes its Gaussians, and verify refuses
     cfg = SampleConfig(params=GroupParams(4, 6), sample_count=300, seed=1)
     fast = replica(cfg, range(cfg.sample_count))[0]
@@ -126,8 +142,34 @@ def test_corrupted_table_raises(monkeypatch):
         empirical_structure(cfg)
 
 
+@pytest.mark.parametrize("kind", ["fast", "slow"])
+def test_guard_checks_every_block(monkeypatch, kind):
+    # within one chunk, the first fast (slow) index of the second GUARD
+    # block is guarded: a wrong value there (a wrong seeded state) makes
+    # verify refuse, as a numpy release that changed the stream would
+    cfg = SampleConfig(params=GroupParams(4, 6), sample_count=2 * GUARD, seed=1)
+    assert cfg.sample_count <= CHUNK
+    fast = replica(cfg, range(cfg.sample_count))[0]
+    block = np.arange(GUARD, 2 * GUARD)
+    target = int(block[fast[block] if kind == "fast" else ~fast[block]][0])
+    real = stream.draws
+
+    def corrupted(*args):
+        fast, reducible, j, u, g, seeded = real(*args)
+        if kind == "fast":
+            u[target] = np.nextafter(u[target], 1.0)
+        else:
+            seeded[target, 0] ^= np.uint64(1)
+        return fast, reducible, j, u, g, seeded
+
+    monkeypatch.setattr(stream, "draws", corrupted)
+    with pytest.raises(RuntimeError, match="default_rng"):
+        empirical_structure(cfg)
+
+
 def test_fallback_alone_gives_the_same_bytes(monkeypatch):
-    # a zero ki table refuses every fast path: all of it drawn by _draw
+    # a zero ki table refuses every fast path: all of it drawn from the
+    # replica's seeded states
     cfg = SampleConfig(params=GroupParams(12, 18), sample_count=600, seed=4)
     want = summary_to_json(empirical_structure(cfg))
     monkeypatch.setattr(stream, "_KI", np.zeros(256, dtype=np.uint64))
@@ -137,7 +179,8 @@ def test_fallback_alone_gives_the_same_bytes(monkeypatch):
 
 @pytest.mark.parametrize("m, n", [(4, 6), (30, 45)])
 def test_draw_calls_bounded(monkeypatch, m, n):
-    # _draw covers only the replica's fallbacks and one guard per chunk
+    # _draw covers only the guards: the first fast and the first slow index
+    # of each GUARD block
     calls = []
     real = tkchar.verify._draw
 
@@ -148,4 +191,5 @@ def test_draw_calls_bounded(monkeypatch, m, n):
     monkeypatch.setattr(tkchar.verify, "_draw", counted)
     count = 20_000
     empirical_structure(SampleConfig(params=GroupParams(m, n), sample_count=count, seed=1))
-    assert -(-count // CHUNK) <= len(calls) <= 0.08 * count
+    blocks = -(-count // GUARD)
+    assert blocks <= len(calls) <= 2 * blocks

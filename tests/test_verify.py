@@ -38,6 +38,7 @@ from tkchar.verify import (
     _draw_arrays,
     _irr,
     _labels,
+    _red_arrays,
     canonical_red_angle,
     classify,
     component_key,
@@ -548,6 +549,22 @@ class TestBatchedOracle:
                 if index % 10 == 0:
                     assert [quaternion_bits(x) for x in sample_pair(cfg, index)] == want, index
 
+    @pytest.mark.parametrize(
+        "m, n", [(2, 198), (2, 200), (2, 202), (202, 2), (1000, 999), (12, 18)]
+    )
+    def test_red_arrays_equal_build_red_noncoprime(self, m, n):
+        # IEEE bits, sign of zero included, on every raw circle, with b or a
+        # on both sides of CPython's switch from repeated multiplication
+        # (|e| <= 100) to exp/log in its complex power
+        p = GroupParams(m, n)
+        turns = [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
+        u = np.array(turns + np.random.default_rng(m * n).random(200).tolist())
+        for i in range(p.d):
+            j = np.full(u.size, i)
+            want = [build_red_noncoprime(p, i, cmath.exp(1j * (2.0 * math.pi * x))) for x in u]
+            for q, pairs in zip(_red_arrays(p, j, u), zip(*want)):
+                assert bits(np.stack(q, axis=1)) == [quaternion_bits(x) for x in pairs], i
+
     def assert_classify_raises(self, p, pairs, reasons, tol=1e-9):
         # the kernel's reason codes, and classify raising on exactly the
         # pairs whose code is not OK
@@ -635,6 +652,8 @@ class TestBatchedOracle:
 
         for name in ("sample_pair", "classify", "conjugate_by", "is_reducible_pair", "sup_diff"):
             monkeypatch.setattr(tkchar.verify, name, refuse)
+        # build_red_noncoprime normalizes its coordinate through reps._unit
+        monkeypatch.setattr(tkchar.reps, "_unit", refuse)
         s = empirical_structure(SampleConfig(params=GroupParams(4, 6), sample_count=300, seed=1))
         assert s["ok"] is True
 
@@ -645,7 +664,7 @@ class TestBatchedOracle:
         p = GroupParams(4, 6)
         empirical_structure(SampleConfig(params=p, sample_count=10, seed=1))  # per-order tables
         peaks = []
-        for count in (2000, 10_000):
+        for count in (2 * CHUNK, 5 * CHUNK):
             assert count > CHUNK
             tracemalloc.start()
             try:
