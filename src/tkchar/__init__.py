@@ -3,108 +3,48 @@
 Exact component enumeration, incidence graph with exact attachment points,
 explicit SU(2) representative matrices, and a randomized sampling oracle
 that checks the closed-form structure numerically.
+
+The public names below are loaded from their submodules on first access
+(PEP 562), so that `import tkchar.cli` loads only what a subcommand uses.
 """
 
-from .components import (
-    ComponentId,
-    ComponentInfo,
-    GroupParams,
-    Irr,
-    Red,
-    attachment,
-    count_irr,
-    enumerate_irr,
-    enumerate_red,
-    joining_component,
-    self_loops,
-)
-from .graph import IncidenceGraph, build_graph, is_connected, to_dot, to_json, to_svg_schematic
-from .reps import (
-    DEFAULT_WORDS,
-    Word,
-    build_irr,
-    build_red_noncoprime,
-    character,
-    cross_ratio_of_pair,
-    evaluate_word,
-)
-from .roots import ONE, MINUS_ONE, RootOfUnity, root
-from .su2 import (
-    DEFAULT_TOL,
-    DegenerateError,
-    ProjectivePoint,
-    UnitaryMatrix,
-    conjugate_by,
-    cross_ratio,
-    eigen_decompose,
-    from_quaternion,
-    is_reducible_pair,
-    mat_pow,
-    polar,
-    trace,
-)
-from .verify import (
-    AmbiguousDecodeError,
-    ClassifiedPoint,
-    SampleConfig,
-    canonical_red_angle,
-    classify,
-    empirical_structure,
-    find_conjugator,
-    sample_pair,
-    summary_to_json,
-)
+import importlib
+
+# Public names by submodule, as "name name ..." strings.
+_EXPORTS = {
+    "components": (
+        "ComponentId ComponentInfo GroupParams Irr Red attachment count_irr enumerate_irr "
+        "enumerate_red joining_component self_loops"
+    ),
+    "graph": "IncidenceGraph build_graph is_connected json_chunks to_dot to_json to_svg_schematic",
+    "reps": (
+        "DEFAULT_WORDS Word build_irr build_red_noncoprime character cross_ratio_of_pair "
+        "evaluate_word"
+    ),
+    "roots": "MINUS_ONE ONE RootOfUnity root",
+    "su2": (
+        "DEFAULT_TOL DegenerateError ProjectivePoint UnitaryMatrix conjugate_by cross_ratio "
+        "eigen_decompose from_quaternion is_reducible_pair mat_pow polar trace"
+    ),
+    "verify": (
+        "AmbiguousDecodeError ClassifiedPoint SampleConfig canonical_red_angle classify "
+        "empirical_structure find_conjugator sample_pair summary_to_json"
+    ),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousDecodeError",
-    "ClassifiedPoint",
-    "ComponentId",
-    "ComponentInfo",
-    "DEFAULT_TOL",
-    "DEFAULT_WORDS",
-    "DegenerateError",
-    "GroupParams",
-    "IncidenceGraph",
-    "Irr",
-    "MINUS_ONE",
-    "ONE",
-    "ProjectivePoint",
-    "Red",
-    "RootOfUnity",
-    "SampleConfig",
-    "UnitaryMatrix",
-    "Word",
-    "attachment",
-    "build_graph",
-    "build_irr",
-    "build_red_noncoprime",
-    "canonical_red_angle",
-    "character",
-    "classify",
-    "conjugate_by",
-    "count_irr",
-    "cross_ratio",
-    "cross_ratio_of_pair",
-    "eigen_decompose",
-    "empirical_structure",
-    "enumerate_irr",
-    "enumerate_red",
-    "evaluate_word",
-    "find_conjugator",
-    "from_quaternion",
-    "is_connected",
-    "is_reducible_pair",
-    "joining_component",
-    "mat_pow",
-    "polar",
-    "root",
-    "sample_pair",
-    "self_loops",
-    "summary_to_json",
-    "to_dot",
-    "to_json",
-    "to_svg_schematic",
-    "trace",
-]
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

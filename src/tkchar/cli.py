@@ -17,24 +17,29 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
+from collections.abc import Iterable
 
 from .components import GroupParams, count_irr, enumerate_irr, enumerate_red, irr_info
-from .graph import build_graph, to_dot, to_json, to_svg_schematic
-from .reps import DEFAULT_WORDS, Word, build_irr, build_red_noncoprime, evaluate_word
+from .graph import build_graph, json_chunks, to_dot, to_svg_schematic
 from .roots import root
-from .su2 import DEFAULT_TOL, trace
-from .verify import SampleConfig, check_tol, empirical_structure, summary_to_json
+from .su2 import DEFAULT_TOL, check_tol, trace
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the text chunks and one newline to stdout or to the file out.
+
+    Each chunk is one write (one system call on an unbuffered stdout), so
+    callers pass whole documents or large chunks, never a line at a time."""
     if out is None:
-        print(text)
-    else:
-        try:
-            Path(out).write_text(text + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+            f.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _fmt_complex(z: complex) -> str:
@@ -49,17 +54,10 @@ def _fmt_matrix(name: str, mat) -> str:
     )
 
 
-def _parse_words(spec: str) -> tuple[Word, ...]:
-    words = tuple(Word.parse(chunk) for chunk in spec.split(",") if chunk)
-    if not words:
-        raise ValueError("empty word list")
-    return words
-
-
 def cmd_components(args: argparse.Namespace, tol: float) -> int:
     p = GroupParams(args.m, args.n)
     if args.format == "json":
-        _emit(to_json(build_graph(p)), args.output)
+        _emit(json_chunks(build_graph(p)), args.output)
         return 0
     reds = enumerate_red(p)
     irrs = enumerate_irr(p)
@@ -78,20 +76,29 @@ def cmd_components(args: argparse.Namespace, tol: float) -> int:
         lines.append(f"{len(reds)} reducible ([-2,2]), {count_irr(p)} irreducible interval{plural}")
     else:
         lines.append(f"{len(reds)} reducible, {count_irr(p)} irreducible")
-    _emit("\n".join(lines), args.output)
+    _emit(["\n".join(lines)], args.output)
     return 0
 
 
 def cmd_graph(args: argparse.Namespace, tol: float) -> int:
     g = build_graph(GroupParams(args.m, args.n))
-    renderers = {"json": to_json, "dot": to_dot, "svg": to_svg_schematic}
-    _emit(renderers[args.format](g), args.output)
+    if args.format == "json":
+        _emit(json_chunks(g), args.output)
+    else:
+        render = to_dot if args.format == "dot" else to_svg_schematic
+        _emit([render(g)], args.output)
     return 0
 
 
 def cmd_rep(args: argparse.Namespace, tol: float) -> int:
+    from .reps import DEFAULT_WORDS, Word, build_irr, build_red_noncoprime, evaluate_word
+
     p = GroupParams(args.m, args.n)
-    words = _parse_words(args.words) if args.words else DEFAULT_WORDS
+    words = DEFAULT_WORDS
+    if args.words:
+        words = tuple(Word.parse(chunk) for chunk in args.words.split(",") if chunk)
+        if not words:
+            raise ValueError("empty word list")
     if args.red:
         if args.t_angle is None:
             raise ValueError("--red requires --t-angle c/N")
@@ -111,11 +118,13 @@ def cmd_rep(args: argparse.Namespace, tol: float) -> int:
     for w in words:
         tr = trace(evaluate_word(w, a, b)).real
         lines.append(f"  tr({w}) = {tr:.12g}")
-    _emit("\n".join(lines), args.output)
+    _emit(["\n".join(lines)], args.output)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace, tol: float) -> int:
+    from .verify import SampleConfig, empirical_structure, summary_to_json
+
     cfg = SampleConfig(
         params=GroupParams(args.m, args.n),
         sample_count=args.samples,
@@ -124,7 +133,7 @@ def cmd_verify(args: argparse.Namespace, tol: float) -> int:
         tol=tol,
     )
     summary = empirical_structure(cfg)
-    _emit(summary_to_json(summary), args.output)
+    _emit([summary_to_json(summary)], args.output)
     return 0 if summary["ok"] else 1
 
 

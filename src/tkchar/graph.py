@@ -31,14 +31,16 @@ angle itself is the coordinate).
 
 Serialization targets the "tkchar-graph/1" layout: a JSON object with
 exactly the fields params / nodes / arcs, written directly from the arrays
-in the layout of json.dumps(indent=2, sort_keys=True), plus DOT and
-schematic SVG renderings of the same structure.
+in the layout of json.dumps(indent=2, sort_keys=True).  json_chunks yields
+it CHUNK arcs at a time, so a writer never holds the whole document;
+to_json joins the chunks.  DOT and schematic SVG render the same structure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,8 +295,10 @@ _JSON_NODE = """    {
       "topology": "%s"
     }"""
 
-_JSON_DOC = """{
-  "arcs": %s,
+_JSON_HEAD = """{
+  "arcs": """
+
+_JSON_TAIL = """,
   "nodes": %s,
   "params": {
     "d": %d,
@@ -303,17 +307,22 @@ _JSON_DOC = """{
   }
 }"""
 
+# Arcs per chunk of json_chunks: about 330 kB of text.
+CHUNK = 1024
+
 
 def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-def to_json(g: IncidenceGraph) -> str:
-    """"tkchar-graph/1" document: exactly the fields params, nodes, arcs,
-    in the layout of json.dumps(indent=2, sort_keys=True); s_real is the
-    repr of its 12-significant-digit rounding.
+def json_chunks(g: IncidenceGraph) -> Iterator[str]:
+    """"tkchar-graph/1" document as text chunks of CHUNK arcs each: exactly
+    the fields params, nodes, arcs, in the layout of
+    json.dumps(indent=2, sort_keys=True); s_real is the repr of its
+    12-significant-digit rounding.
 
-    Raises ValueError on a non-finite s_real, which strict JSON cannot hold.
+    Raises ValueError on a non-finite s_real, which strict JSON cannot
+    hold, at the call, before any chunk exists.
     """
     if not np.isfinite(g.s_real).all():
         raise ValueError("s_real holds a non-finite value; strict JSON cannot represent it")
@@ -321,14 +330,33 @@ def to_json(g: IncidenceGraph) -> str:
     # once, keyed by its bits so that 0.0 and -0.0 stay apart
     bits, which = np.unique(np.ascontiguousarray(g.s_real).view(np.int64), return_inverse=True)
     text = [repr(_sig12(x)) for x in bits.view(np.float64).tolist()]
-    s_real = [text[i] for i in which.ravel().tolist()]
-    columns = [a[:, side].tolist() for side in (0, 1) for a in (g.node, g.den, g.num)]
-    node0, den0, num0, node1, den1, num1 = columns
-    rows = zip(node0, s_real[0::2], den0, num0, node1, s_real[1::2], den1, num1,
-               g.k.tolist(), g.kp.tolist())
-    arcs = [_JSON_ARC % row for row in rows]
     nodes = [_JSON_NODE % (info.id.i, info.su2_topology) for info in g.nodes]
-    return _JSON_DOC % (_json_list(arcs), _json_list(nodes), g.params.d, g.params.m, g.params.n)
+    tail = _JSON_TAIL % (_json_list(nodes), g.params.d, g.params.m, g.params.n)
+    return _json_arcs(g, text, which.reshape(g.s_real.shape), tail)
+
+
+def _json_arcs(g: IncidenceGraph, text: list[str], which: np.ndarray, tail: str) -> Iterator[str]:
+    """The chunks of json_chunks, from its checked and formatted parts."""
+    if not len(g.k):
+        yield _JSON_HEAD + "[]" + tail
+        return
+    lead = _JSON_HEAD + "[\n"
+    for start in range(0, len(g.k), CHUNK):
+        part = slice(start, start + CHUNK)
+        node0, den0, num0, node1, den1, num1 = (
+            a[part, side].tolist() for side in (0, 1) for a in (g.node, g.den, g.num)
+        )
+        s0, s1 = (map(text.__getitem__, which[part, side].tolist()) for side in (0, 1))
+        rows = zip(node0, s0, den0, num0, node1, s1, den1, num1,
+                   g.k[part].tolist(), g.kp[part].tolist())
+        yield lead + ",\n".join([_JSON_ARC % row for row in rows])
+        lead = ",\n"
+    yield "\n  ]" + tail
+
+
+def to_json(g: IncidenceGraph) -> str:
+    """The json_chunks document as one string."""
+    return "".join(json_chunks(g))
 
 
 def to_dot(g: IncidenceGraph) -> str:

@@ -31,6 +31,12 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
+def check_tol(tol: float) -> None:
+    """The one tolerance rule: finite and > 0, else ValueError."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 class DegenerateError(ValueError):
     """Raised when an eigen or cross-ratio question has no stable answer
     (central matrix, coincident projective points, reducible pair)."""

@@ -76,6 +76,7 @@ from .su2 import (
     _qmul_arrays,
     _qpow_arrays,
     _sup_diff_arrays,
+    check_tol,
     conjugate_by,
     eigen_decompose,
     is_reducible_pair,
@@ -111,12 +112,6 @@ class AmbiguousDecodeError(ValueError):
     def __init__(self, message: str, candidates: tuple[int, ...]):
         super().__init__(message)
         self.candidates = candidates
-
-
-def check_tol(tol: float) -> None:
-    """The one tolerance rule: finite and > 0, else ValueError."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 @dataclass(frozen=True, slots=True)

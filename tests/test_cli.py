@@ -1,12 +1,15 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import tkchar.cli
 from tkchar.cli import main
 
 
@@ -225,6 +228,14 @@ def test_golden_output_bytes(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[argv]
 
 
+def test_graph_file_output_matches_stdout_golden(tmp_path, capsys):
+    argv = ("graph", "-m", "200", "-n", "300", "--format", "json")
+    target = tmp_path / "g.json"
+    code, out, _ = run(capsys, *argv, "-o", str(target))
+    assert code == 0 and out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
+
+
 class TestPlumbing:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -257,4 +268,27 @@ class TestPlumbing:
         code, out, err = run(capsys, *argv, "-o", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write") and str(target) in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("graph", "-m", "6", "-n", "9"), ("components", "-m", "6", "-n", "9", "--format", "json")],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_finite_graph_refused_before_writing(self, tmp_path, capsys, monkeypatch, argv, to_file):
+        # the streamed document is refused whole: no partial stdout, no file
+        build = tkchar.cli.build_graph
+
+        def nan_graph(p):
+            g = build(p)
+            s_real = g.s_real.copy()
+            s_real[-1, 1] = np.nan
+            return dataclasses.replace(g, s_real=s_real)
+
+        monkeypatch.setattr(tkchar.cli, "build_graph", nan_graph)
+        target = tmp_path / "g.json"
+        code, out, err = run(capsys, *argv, *(("-o", str(target)) if to_file else ()))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "non-finite" in err
         assert not target.exists()

@@ -21,6 +21,7 @@ from tkchar.graph import (
     build_graph,
     involution_twist,
     is_connected,
+    json_chunks,
     shared_endpoints,
     to_dot,
     to_json,
@@ -29,6 +30,9 @@ from tkchar.graph import (
 from tkchar.roots import ONE, RootOfUnity, root
 
 SWEEP = [(m, n) for m in range(2, 41) for n in range(2, 41)]
+# orders for the chunk-boundary test: trefoil first, (6, 9) fourth; odd,
+# even and coprime d, self-paired nodes, up to 741 arcs at (40, 39)
+CHUNK_ORDERS = [(3, 2), (4, 6), (5, 3), (6, 9), (8, 12), (12, 18), (7, 4), (40, 39), (26, 39)]
 ARRAYS = ("k", "kp", "raw", "c_raw", "node", "num", "den", "s_real")
 
 
@@ -332,6 +336,33 @@ class TestSerialization:
         g = dataclasses.replace(g, s_real=np.array([[0.0, -0.0]]))
         assert to_json(g) == reference_json(g)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 10_000])
+    def test_json_chunk_boundaries(self, monkeypatch, chunk):
+        # the 40x40 sweep never reaches a chunk boundary at the real CHUNK
+        monkeypatch.setattr(tkchar.graph, "CHUNK", chunk)
+        graphs = [build_graph(GroupParams(m, n)) for m, n in CHUNK_ORDERS]
+        signed_zero = dataclasses.replace(graphs[0], s_real=np.array([[0.0, -0.0]]))
+        for g in [*graphs, without_arcs(graphs[3]), signed_zero]:
+            arcs = len(g.k)
+            assert to_json(g) == reference_json(g), (g.params, chunk)
+            # the head rides on the first arc chunk, the tail is one more
+            assert len(list(json_chunks(g))) == (-(-arcs // chunk) + 1 if arcs else 1)
+
+    def test_json_chunks_memory_below_document(self):
+        import tracemalloc
+
+        g = build_graph(GroupParams(200, 300))
+        size = 0
+        tracemalloc.start()
+        try:
+            for chunk in json_chunks(g):
+                size += len(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 9_000_000
+        assert peak < size / 3, (peak, size)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_refuses_non_finite_s_real(self, bad):
         g = build_graph(GroupParams(4, 6))
@@ -339,6 +370,9 @@ class TestSerialization:
         s_real[3, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             to_json(dataclasses.replace(g, s_real=s_real))
+        # json_chunks refuses at the call, before a chunk exists
+        with pytest.raises(ValueError, match="non-finite"):
+            json_chunks(dataclasses.replace(g, s_real=s_real))
 
     def test_dot_shape(self):
         dot = to_dot(build_graph(GroupParams(4, 6)))

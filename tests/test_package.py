@@ -1,0 +1,72 @@
+"""The package namespace: lazy public names and the modules each subcommand loads."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import tkchar
+
+# Runs graph, records which heavy modules are loaded, then runs verify.
+CLI_PROBE = """
+import json, sys
+from tkchar.cli import main
+
+heavy = ("tkchar.verify", "tkchar.reps", "tkchar.stream", "numpy.random")
+loaded = {}
+code = main(["graph", "-m", "6", "-n", "9"])
+loaded["graph"] = [m for m in heavy if m in sys.modules]
+code += main(["verify", "-m", "4", "-n", "6", "-N", "300", "--seed", "1"])
+loaded["verify"] = [m for m in heavy if m in sys.modules]
+print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
+"""
+
+
+def run_python(source):
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_graph_loads_no_oracle_modules():
+    result = json.loads(run_python(CLI_PROBE).stderr.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["loaded"]["graph"] == []
+    assert {"tkchar.verify", "tkchar.stream"} <= set(result["loaded"]["verify"])
+
+
+def test_import_loads_no_submodule():
+    proc = run_python(
+        "import sys, tkchar; print(sorted(m for m in sys.modules if m.startswith('tkchar')))"
+    )
+    assert proc.stdout.split() == ["['tkchar']"]
+
+
+def test_from_import_of_submodule():
+    run_python(
+        "import sys, tkchar\n"
+        "from tkchar import stream\n"
+        "assert stream is sys.modules['tkchar.stream']\n"
+    )
+
+
+def test_public_names_resolve_to_submodule_objects():
+    assert tkchar.__all__ == sorted(set(tkchar.__all__))
+    for name in tkchar.__all__:
+        module = importlib.import_module(f"tkchar.{tkchar._SUBMODULE[name]}")
+        assert getattr(tkchar, name) is getattr(module, name), name
+
+
+def test_star_import():
+    namespace = {}
+    exec("from tkchar import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(tkchar.__all__)
+    assert namespace["build_graph"] is tkchar.graph.build_graph
+
+
+def test_dir_and_unknown_name():
+    assert set(tkchar.__all__) <= set(dir(tkchar))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tkchar.no_such_name

@@ -66,3 +66,21 @@ def test_oracle_stages():
         "summary_to_json", "empirical_structure",
     ]
     assert all(stages[s] > 0 for s in stages if s not in ("slow draws", "tally"))  # derived
+
+
+def test_graph_stages():
+    proc = run_script("graph_stages.py", "-m", "20", "-n", "30")
+    assert proc.returncode == 0, proc.stderr
+    comment, rss, header, *rows = proc.stdout.splitlines()
+    assert comment.startswith("# (m, n) = (20, 30), 276 arcs, median of")
+    assert rss.startswith("# cli peak RSS ") and rss.endswith(" MiB")
+    assert float(rss.split()[-2]) > 0
+    assert header.split() == ["stage", "seconds", "us/arc"]
+    stages = {}
+    for row in rows:
+        *name, seconds, per_arc = row.split()
+        stages[" ".join(name)] = float(seconds)
+        # seconds are printed to 0.1 ms, i.e. 0.36 us per arc here
+        assert float(per_arc) == pytest.approx(1e6 * float(seconds) / 276, abs=0.2)
+    assert list(stages) == ["build_graph", "writer", "import tkchar.cli", "cli process"]
+    assert all(seconds > 0 for seconds in stages.values())
