@@ -43,7 +43,8 @@ from tkchar.graph import build_graph, json_chunks
 ROUNDS = 5
 SRC = str(Path(tkchar.__file__).resolve().parent.parent)
 
-# Runs argv[1:] with stdout on /dev/null, prints [wall s, ru_maxrss KiB].
+# Runs argv[1:] with stdout on /dev/null, prints [wall s, ru_maxrss KiB,
+# exit code].
 REAPER = """
 import json, os, subprocess, sys, time
 with open(os.devnull, "wb") as null:
@@ -51,9 +52,7 @@ with open(os.devnull, "wb") as null:
     proc = subprocess.Popen(sys.argv[1:], stdout=null)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
-if os.waitstatus_to_exitcode(status) != 0:
-    sys.exit(f"{sys.argv[1:]} failed")
-print(json.dumps([wall, usage.ru_maxrss]))
+print(json.dumps([wall, usage.ru_maxrss, os.waitstatus_to_exitcode(status)]))
 """
 
 
@@ -85,7 +84,9 @@ def one_round(p: GroupParams) -> tuple[dict[str, float], float]:
     t["writer"] = timed(write, g)[0]
     t["import tkchar.cli"] = timed(python, "-c", "import tkchar.cli")[0]
     cli = ("-m", "tkchar", "graph", "-m", str(p.m), "-n", str(p.n), "--format", "json")
-    t["cli process"], maxrss_kib = json.loads(python("-c", REAPER, sys.executable, *cli))
+    t["cli process"], maxrss_kib, code = json.loads(python("-c", REAPER, sys.executable, *cli))
+    if code != 0:
+        sys.exit(f"{cli} exited {code}")
     return t, maxrss_kib / 1024.0
 
 

@@ -12,10 +12,11 @@ one configuration:
 - builders: `_build_arrays` on the completed draws;
 - kernel: `_classify_arrays` on the builders' pairs;
 - graph: `build_graph`, once per run;
-- tally: `empirical_structure` minus replica, slow draws, builders,
-  kernel and graph, i.e. the counts, maxima, votes and adjacency list
-  (derived);
-- summary_to_json: serializing the summary;
+- array tally: `empirical_structure` minus replica, slow draws, builders,
+  kernel and graph, i.e. the count, maximum and vote arrays and each arc
+  end's winner (derived);
+- writer: `summary_chunks` drained into a file on /dev/null, as the CLI
+  writes the summary;
 - empirical_structure: the whole call.
 
 Each round runs every stage once, in the order above, so drift of the
@@ -30,11 +31,12 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import time
 
 from tkchar import stream
-from tkchar.components import GroupParams
+from tkchar.components import GroupParams, count_irr
 from tkchar.graph import build_graph
 from tkchar.verify import (
     CHUNK,
@@ -43,9 +45,8 @@ from tkchar.verify import (
     _classify_arrays,
     _draw,
     _draw_arrays,
-    _irr,
     empirical_structure,
-    summary_to_json,
+    summary_chunks,
 )
 
 ROUNDS = 7
@@ -57,11 +58,17 @@ def timed(f, *args):
     return time.perf_counter() - start, value
 
 
+def write(summary) -> None:
+    with open(os.devnull, "w", encoding="utf-8") as out:
+        out.writelines(summary_chunks(summary))
+        out.write("\n")
+
+
 def one_round(cfg: SampleConfig) -> tuple[dict[str, float], int]:
     """The stage times of one round and the count of indices left to numpy."""
     p = cfg.params
     chunks = [range(s, min(s + CHUNK, cfg.sample_count)) for s in range(0, cfg.sample_count, CHUNK)]
-    args = (cfg.reducible_fraction, p.d // 2 + 1, len(_irr(p)))
+    args = (cfg.reducible_fraction, p.d // 2 + 1, count_irr(p))
     t = {"draw loop": timed(lambda: [_draw(cfg, i) for i in range(cfg.sample_count)])[0]}
     t["replica"], replicas = timed(lambda: [stream.draws(cfg.seed, c, *args) for c in chunks])
     slow = sum(int((~r[0]).sum()) for r in replicas)
@@ -72,8 +79,8 @@ def one_round(cfg: SampleConfig) -> tuple[dict[str, float], int]:
     t["graph"] = timed(build_graph, p)[0]
     total, summary = timed(empirical_structure, cfg)
     staged = ("replica", "slow draws", "builders", "kernel", "graph")
-    t["tally"] = total - sum(t[s] for s in staged)
-    t["summary_to_json"] = timed(summary_to_json, summary)[0]
+    t["array tally"] = total - sum(t[s] for s in staged)
+    t["writer"] = timed(write, summary)[0]
     t["empirical_structure"] = total
     return t, slow
 

@@ -27,8 +27,8 @@ _EXPORTS = {
         "eigen_decompose from_quaternion is_reducible_pair mat_pow polar trace"
     ),
     "verify": (
-        "AmbiguousDecodeError ClassifiedPoint SampleConfig canonical_red_angle classify "
-        "empirical_structure find_conjugator sample_pair summary_to_json"
+        "AmbiguousDecodeError ClassifiedPoint SampleConfig Summary canonical_red_angle classify "
+        "empirical_structure find_conjugator sample_pair summary_chunks summary_to_json"
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -123,7 +123,7 @@ def cmd_rep(args: argparse.Namespace, tol: float) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, tol: float) -> int:
-    from .verify import SampleConfig, empirical_structure, summary_to_json
+    from .verify import SampleConfig, empirical_structure, summary_chunks
 
     cfg = SampleConfig(
         params=GroupParams(args.m, args.n),
@@ -133,8 +133,8 @@ def cmd_verify(args: argparse.Namespace, tol: float) -> int:
         tol=tol,
     )
     summary = empirical_structure(cfg)
-    _emit([summary_to_json(summary)], args.output)
-    return 0 if summary["ok"] else 1
+    _emit(summary_chunks(summary), args.output)
+    return 0 if summary.ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .roots import RootOfUnity, root
 
 SU2_INTERVAL = "closed-interval"
@@ -122,6 +124,21 @@ def enumerate_irr(p: GroupParams) -> list[Irr]:
         for kp in range(1, p.n)
         if (k - kp) % 2 == 0
     ]
+
+
+def irr_labels(p: GroupParams) -> tuple[np.ndarray, np.ndarray]:
+    """(k, kp) of enumerate_irr(p) as int64 arrays, in its order."""
+    k, kp = np.meshgrid(np.arange(1, p.m), np.arange(1, p.n), indexing="ij")
+    keep = (k - kp) % 2 == 0
+    return k[keep], kp[keep]
+
+
+def irr_position(p: GroupParams, k: np.ndarray, kp: np.ndarray) -> np.ndarray:
+    """The position of each admissible label (k, kp) in enumerate_irr(p),
+    elementwise: before row k come k//2 odd rows of n//2 labels and
+    (k - 1)//2 even rows of (n - 1)//2, and kp is the (kp - 1)//2-th of
+    its row."""
+    return (k // 2) * (p.n // 2) + ((k - 1) // 2) * ((p.n - 1) // 2) + (kp - 1) // 2
 
 
 def count_irr(p: GroupParams) -> int:

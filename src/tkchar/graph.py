@@ -51,6 +51,7 @@ from .components import (
     Irr,
     bezout_coprime,
     enumerate_red,
+    irr_labels,
     self_paired,
 )
 from .roots import RootOfUnity
@@ -194,9 +195,7 @@ def build_graph(p: GroupParams) -> IncidenceGraph:
     intermediate exceeds 2M*(m + n) in size.
     """
     rule = _endpoint_rule(p)
-    k, kp = np.meshgrid(np.arange(1, p.m), np.arange(1, p.n), indexing="ij")
-    keep = (k - kp) % 2 == 0
-    k, kp = k[keep], kp[keep]
+    k, kp = irr_labels(p)
     kk, s = k[:, None], np.stack([kp, -kp], axis=1)
     h = (kk - s) // 2
     raw = h % p.d

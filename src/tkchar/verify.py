@@ -44,16 +44,28 @@ the floating-point operations of build_irr, build_red_noncoprime (with
 CPython's complex power), conjugate_by and mat_pow in their order, bit for
 bit, so no per-sample Python call is left on the draw and build path
 beyond the slow draws and the math functions numpy rounds differently.
+
+The tally and the summary are arrays too, with no Python object per arc:
+counts per node and per arc, running maxima (the residuals are >= 0, so
+the order does not matter) and sparse vote cells (arc, side, node), each
+with its count and first sample index.  An arc end's winner is the cell
+with the most votes, ties going to the earliest first vote, which is what
+Counter.most_common(1) picks when votes are counted one sample at a time.
+summary_chunks writes the "tkchar-verify/1" document from these arrays
+with %-templates, in chunks, its keys sorted as strings as
+json.dumps(sort_keys=True) sorts them; a Summary is also a read-only
+mapping whose dict view is built on first access, for library callers.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import json
+import itertools
 import math
-from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -62,10 +74,11 @@ from .components import (
     GroupParams,
     Irr,
     Red,
-    enumerate_irr,
-    enumerate_red,
+    count_irr,
+    irr_labels,
+    irr_position,
 )
-from .graph import _endpoint_rule, _sig12, build_graph
+from .graph import IncidenceGraph, _endpoint_rule, _sig12, build_graph
 from .reps import _alpha_conj, character
 from .roots import root
 from .su2 import (
@@ -133,23 +146,14 @@ class SampleConfig:
 
 
 @functools.lru_cache(maxsize=1)
-def _irr(p: GroupParams) -> tuple[Irr, ...]:
-    """The irreducible labels of one (m, n), which sample_pair draws from.
-
-    O(m*n) labels, so only the order in use is kept; the reducible decoder
-    never needs them.
-    """
-    return tuple(enumerate_irr(p))
-
-
-@functools.lru_cache(maxsize=1)
 def _irr_tables(p: GroupParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(k, kp, lam, mu) of one order, which the batched builder looks up: k
-    and kp label the irreducible components in _irr's order, and lam and mu
-    hold root(k, m) and root(kp, n) per exponent, as build_irr makes them."""
-    comps = _irr(p)
+    and kp label the irreducible components in enumerate_irr's order
+    (irr_labels), and lam and mu hold root(k, m) and root(kp, n) per
+    exponent, as build_irr makes them.  O(m*n) labels, so only the order in
+    use is kept; the reducible builder and the kernel never read them."""
     lam, mu = (np.array([root(k, o).to_complex() for k in range(o)]) for o in (p.m, p.n))
-    return np.array([c.k for c in comps]), np.array([c.kp for c in comps]), lam, mu
+    return *irr_labels(p), lam, mu
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,14 +168,14 @@ def _calls(cfg: SampleConfig, rng: np.random.Generator) -> tuple[bool, int, floa
     """One draw (reducible, j, u, g) from rng: the Generator calls, in their
     order, that define every sample.
 
-    j is the raw reducible circle or the index into _irr(p), u the uniform
-    that becomes the circle angle 2*pi*u or the coordinate t, and g the
-    four Gaussians of the Haar conjugator.
+    j is the raw reducible circle or the index into enumerate_irr(p), u
+    the uniform that becomes the circle angle 2*pi*u or the coordinate t,
+    and g the four Gaussians of the Haar conjugator.
     """
     p = cfg.params
     if rng.random() < cfg.reducible_fraction:
         return True, int(rng.integers(0, p.d // 2 + 1)), rng.random(), rng.normal(size=4)
-    return False, int(rng.integers(len(_irr(p)))), rng.random(), rng.normal(size=4)
+    return False, int(rng.integers(count_irr(p))), rng.random(), rng.normal(size=4)
 
 
 def _draw(cfg: SampleConfig, index: int) -> tuple[bool, int, float, np.ndarray]:
@@ -283,7 +287,7 @@ def _draw_arrays(
 
     p = cfg.params
     fast, *arrays, seeded = stream.draws(
-        cfg.seed, indices, cfg.reducible_fraction, p.d // 2 + 1, len(_irr(p))
+        cfg.seed, indices, cfg.reducible_fraction, p.d // 2 + 1, count_irr(p)
     )
     slow = np.flatnonzero(~fast)
     if seeded is None:
@@ -353,8 +357,8 @@ def _build_arrays(
 ) -> tuple[QuaternionArrays, QuaternionArrays]:
     """The pairs of the draws (reducible, j, u, g) of _draw_arrays:
     build_red_noncoprime(p, j, exp(2*pi*i*u)) (_red_arrays) or build_irr on
-    _irr(p)[j] at t = u clamped into (0, 1), conjugated by from_quaternion
-    of g."""
+    enumerate_irr(p)[j] at t = u clamped into (0, 1), conjugated by
+    from_quaternion of g."""
     a = tuple(np.zeros(reducible.size) for _ in range(4))
     b = tuple(np.zeros(reducible.size) for _ in range(4))
 
@@ -542,7 +546,156 @@ def component_key(comp: ComponentId) -> str:
     return f"irr:{comp.k},{comp.kp}"
 
 
-def empirical_structure(cfg: SampleConfig) -> dict:
+def _decimal_order(size: int) -> np.ndarray:
+    """0 .. size - 1 (size >= 1) in the order of their decimal strings
+    ("10" before "2"), as sort_keys sorts them: by the digits padded on
+    the right, then shorter first."""
+    x = np.arange(size)
+    digits, power = np.ones(size, dtype=np.int64), 10
+    while power < size:
+        digits += x >= power
+        power *= 10
+    return np.lexsort((digits, x * 10 ** (digits[-1] - digits)))
+
+
+def _decimal_rank(size: int) -> np.ndarray:
+    """rank[i] is the place of i in _decimal_order(size)."""
+    rank = np.empty(size, dtype=np.int64)
+    rank[_decimal_order(size)] = np.arange(size)
+    return rank
+
+
+def _add_votes(
+    votes: tuple[np.ndarray, np.ndarray, np.ndarray], cells: np.ndarray, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """votes (cell, first, count), sorted by cell, with one more vote for
+    each of cells, cast by the samples index, which come after every vote
+    in votes: count the votes per cell and first the smallest index."""
+    cell, first, count = (
+        np.concatenate(pair) for pair in zip(votes, (cells, index, np.ones_like(cells)))
+    )
+    cell, where, inverse = np.unique(cell, return_index=True, return_inverse=True)
+    total = np.zeros(cell.size, dtype=np.int64)
+    np.add.at(total, inverse, count)
+    return cell, first[where], total
+
+
+def _leaders(group: np.ndarray, count: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Per distinct value of the increasing group, the position of its cell
+    with the most votes, ties going to the smallest first index: the key
+    Counter.most_common(1) picks when the votes are counted in index order,
+    as it breaks ties by first insertion."""
+    order = np.lexsort((first, -count, group))
+    return order[np.flatnonzero(np.diff(group[order], prepend=-1))]
+
+
+@dataclass(frozen=True, eq=False)
+class Summary(Mapping):
+    """The tally of one empirical_structure run, as arrays.
+
+    red_counts counts the samples on each node and irr_counts those on each
+    arc of graph; max_relation and max_classification are the largest
+    residuals and decode_errors the count of refused samples.  The
+    near-limit votes are cells (vote_group, vote_node, vote_count): group
+    2*arc + side is an arc end, node the node voted for; they are sorted by
+    group, then by node as a string, the document's order.  arc_ok holds
+    whether each arc end's most-voted node, if it has votes, is its graph
+    endpoint.
+
+    As a read-only mapping it is the "tkchar-verify/1" document before
+    float rounding, built from the arrays on first access; summary_chunks
+    writes the same document from the arrays directly.
+    """
+
+    cfg: SampleConfig
+    graph: IncidenceGraph
+    red_counts: np.ndarray
+    irr_counts: np.ndarray
+    max_relation: float
+    max_classification: float
+    decode_errors: int
+    vote_group: np.ndarray
+    vote_node: np.ndarray
+    vote_count: np.ndarray
+    arc_ok: np.ndarray
+
+    @property
+    def flags(self) -> dict[str, bool]:
+        # every observed component is one of the closed form's, so the
+        # observed keys equal the expected ones iff every count is positive
+        return {
+            "components": bool(self.red_counts.all() and self.irr_counts.all()),
+            "adjacency": bool(self.arc_ok.all()),
+            "residuals": self.decode_errors == 0
+            and self.max_relation <= RESIDUALS_FLAG_RELATION
+            and self.max_classification <= RESIDUALS_FLAG_CLASSIFICATION,
+        }
+
+    @property
+    def ok(self) -> bool:
+        return all(self.flags.values())
+
+    @functools.cached_property
+    def _view(self) -> dict:
+        cfg, g = self.cfg, self.graph
+        p = cfg.params
+        labels = list(zip(g.k.tolist(), g.kp.tolist()))
+        observed: list[dict[str, int]] = [{} for _ in range(2 * len(labels))]
+        votes = zip(self.vote_group.tolist(), self.vote_node.tolist(), self.vote_count.tolist())
+        for group, node, count in votes:
+            observed[group][str(node)] = count
+        counts = {
+            component_key(Red(i)): count
+            for i, count in enumerate(self.red_counts.tolist())
+            if count
+        } | {
+            component_key(Irr(*key)): count
+            for key, count in zip(labels, self.irr_counts.tolist())
+            if count
+        }
+        return {
+            "schema": "tkchar-verify/1",
+            "params": {"m": p.m, "n": p.n, "d": p.d},
+            "seed": cfg.seed,
+            "sample_count": cfg.sample_count,
+            "reducible_fraction": cfg.reducible_fraction,
+            "tolerance": cfg.tol,
+            "counts": dict(sorted(counts.items())),
+            "expected_components": sorted(
+                [component_key(info.id) for info in g.nodes]
+                + [component_key(Irr(*key)) for key in labels]
+            ),
+            "max_relation_residual": self.max_relation,
+            "max_classification_residual": self.max_classification,
+            "decode_errors": self.decode_errors,
+            "adjacency": [
+                {
+                    "k": k,
+                    "kp": kp,
+                    "expected": ends,
+                    "observed_t0": observed[2 * j],
+                    "observed_t1": observed[2 * j + 1],
+                    "ok": ok,
+                }
+                for j, ((k, kp), ends, ok) in enumerate(
+                    zip(labels, g.node.tolist(), self.arc_ok.tolist())
+                )
+            ],
+            "flags": self.flags,
+            "ok": self.ok,
+        }
+
+    def __getitem__(self, key: str):
+        return self._view[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._view)
+
+    def __len__(self) -> int:
+        return len(self._view)
+
+
+def empirical_structure(cfg: SampleConfig) -> Summary:
     """Sample, classify, and compare observed structure with the exact graph.
 
     Near-limit irreducible samples (t < 0.02 or t > 0.98) vote for the
@@ -552,22 +705,19 @@ def empirical_structure(cfg: SampleConfig) -> dict:
     is reported per arc.  decode_errors counts the samples whose reason is
     not OK.
 
-    The samples go through the batched pipeline CHUNK at a time, with the
-    summary a loop over sample_pair and classify would give.
+    The samples go through the batched pipeline CHUNK at a time into array
+    tallies: counts per node and per arc, running maxima and vote cells,
+    with the summary a loop over sample_pair and classify would give.
     """
     p = cfg.params
     g = build_graph(p)
-    expected = sorted(
-        [component_key(info.id) for info in enumerate_red(p)]
-        + [component_key(c) for c in _irr(p)]
-    )
-
-    labels = list(zip(g.k.tolist(), g.kp.tolist()))
-    red_counts: Counter[int] = Counter()
-    irr_counts: Counter[tuple[int, int]] = Counter()
-    votes: dict[tuple[int, int], list[Counter]] = {key: [Counter(), Counter()] for key in labels}
-    max_relation = 0.0
-    max_classification = 0.0
+    nodes = p.d // 2 + 1
+    rank = _decimal_rank(nodes)
+    red_counts = np.zeros(nodes, dtype=np.int64)
+    irr_counts = np.zeros(len(g.k), dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    votes = (empty, empty, empty)
+    max_relation = max_classification = 0.0
     decode_errors = 0
 
     for start in range(0, cfg.sample_count, CHUNK):
@@ -575,86 +725,198 @@ def empirical_structure(cfg: SampleConfig) -> dict:
         out = _classify_arrays(p, *_build_arrays(p, *draws), cfg.tol)
         ok = out.reason == OK
         decode_errors += int((~ok).sum())
-        # max over the samples in index order, as a running max() would take it
-        max_relation = max([max_relation, *out.relation[ok].tolist()])
-        max_classification = max([max_classification, *out.residual[ok].tolist()])
+        # the residuals are >= 0, so the max is the same in any order; a NaN
+        # carries through to the summary, whose writer refuses it
+        max_relation = out.relation[ok].max(initial=max_relation)
+        max_classification = out.residual[ok].max(initial=max_classification)
         red, irr = ok & out.reducible, ok & ~out.reducible
-        red_counts.update(out.node[red].tolist())
-        irr_counts.update(zip(out.k[irr].tolist(), out.kp[irr].tolist()))
-        # votes in index order, so most_common breaks ties as one sample at a time would
+        np.add.at(red_counts, out.node[red], 1)
+        arc = irr_position(p, out.k, out.kp)
+        np.add.at(irr_counts, arc[irr], 1)
+        # a cell per (arc, side, node), its node keyed by rank so that the
+        # cells sort in the document's order
         t = out.coordinate
-        vote = irr & ~((0.02 <= t) & (t <= 0.98))
-        for k, kp, side, node in zip(
-            out.k[vote].tolist(),
-            out.kp[vote].tolist(),
-            np.where(t[vote] < 0.02, 0, 1).tolist(),
-            out.node[vote].tolist(),
-        ):
-            votes[(k, kp)][side][node] += 1
-    counts = {component_key(Red(i)): cnt for i, cnt in red_counts.items()} | {
-        component_key(Irr(*key)): cnt for key, cnt in irr_counts.items()
-    }
+        vote = np.flatnonzero(irr & ~((0.02 <= t) & (t <= 0.98)))
+        side = np.where(t[vote] < 0.02, 0, 1)
+        cells = (2 * arc[vote] + side) * nodes + rank[out.node[vote]]
+        votes = _add_votes(votes, cells, start + vote)
 
-    adjacency = []
-    adjacency_ok = True
-    for key, expected_nodes in zip(labels, g.node.tolist()):
-        arc_ok = True
-        observed = []
-        for side in (0, 1):
-            tally = votes[key][side]
-            observed.append({str(node): cnt for node, cnt in sorted(tally.items())})
-            if tally and tally.most_common(1)[0][0] != expected_nodes[side]:
-                arc_ok = False
-        adjacency_ok = adjacency_ok and arc_ok
-        adjacency.append(
-            {
-                "k": key[0],
-                "kp": key[1],
-                "expected": expected_nodes,
-                "observed_t0": observed[0],
-                "observed_t1": observed[1],
-                "ok": arc_ok,
-            }
+    cell, first, count = votes
+    group, node = np.divmod(cell, nodes)
+    node = _decimal_order(nodes)[node]
+    lead = _leaders(group, count, first)
+    arc, side = np.divmod(group[lead], 2)
+    arc_ok = np.ones(len(g.k), dtype=bool)
+    arc_ok[arc[node[lead] != g.node[arc, side]]] = False
+    return Summary(
+        cfg, g, red_counts, irr_counts, float(max_relation), float(max_classification),
+        decode_errors, group, node, count, arc_ok,
+    )
+
+
+# --- the tkchar-verify/1 writer ----------------------------------------------
+
+_JSON_ARC = """    {
+      "expected": [
+        %d,
+        %d
+      ],
+      "k": %d,
+      "kp": %d,
+      "observed_t0": %s,
+      "observed_t1": %s,
+      "ok": %s
+    }"""
+
+_JSON_TAIL = """,
+  "flags": {
+    "adjacency": %s,
+    "components": %s,
+    "residuals": %s
+  },
+  "max_classification_residual": %s,
+  "max_relation_residual": %s,
+  "ok": %s,
+  "params": {
+    "d": %d,
+    "m": %d,
+    "n": %d
+  },
+  "reducible_fraction": %s,
+  "sample_count": %d,
+  "schema": "tkchar-verify/1",
+  "seed": %d,
+  "tolerance": %s
+}"""
+
+_JSON_BOOL = ("false", "true")
+
+# Arcs (or counts, or expected components) per chunk of summary_chunks.
+JSON_CHUNK = 1024
+
+
+def _json_number(x: float) -> str:
+    """x as json.dumps writes it after rounding a float to 12 significant
+    digits (an int stays an int)."""
+    return repr(_sig12(x)) if isinstance(x, float) else "%d" % x
+
+
+def _json_block(parts: Iterable[list[str]], brackets: str) -> Iterator[str]:
+    """A list or object ("[]" or "{}") at depth 1 of the indent-2 layout,
+    its item lines given in lists, one chunk per non-empty list."""
+    empty = True
+    for items in parts:
+        if items:
+            yield (brackets[0] if empty else ",") + "\n" + ",\n".join(items)
+            empty = False
+    yield brackets if empty else "\n  " + brackets[1]
+
+
+def _lines(
+    template: str, columns: tuple[np.ndarray, ...], order: np.ndarray, keep: np.ndarray | None = None
+) -> Iterator[list[str]]:
+    """template % the row of columns at each position of order (those that
+    keep holds), JSON_CHUNK positions at a time."""
+    for start in range(0, len(order), JSON_CHUNK):
+        j = order[start : start + JSON_CHUNK]
+        if keep is not None:
+            j = j[keep[j]]
+        yield [template % row for row in zip(*(c[j].tolist() for c in columns))]
+
+
+def _arc_lines(s: Summary) -> Iterator[list[str]]:
+    """The adjacency entries, JSON_CHUNK arcs at a time."""
+    g = s.graph
+    arcs = len(g.k)
+    # the vote cells of chunk i are bounds[i]:bounds[i + 1], as they are sorted by arc
+    per_chunk = np.bincount(s.vote_group // (2 * JSON_CHUNK), minlength=-(-arcs // JSON_CHUNK))
+    bounds = [0, *np.cumsum(per_chunk).tolist()]
+    for start, lo, hi in zip(range(0, arcs, JSON_CHUNK), bounds, bounds[1:]):
+        stop = min(start + JSON_CHUNK, arcs)
+        observed = ["{}"] * (2 * (stop - start))
+        cells = zip(
+            s.vote_group[lo:hi].tolist(),
+            ['        "%d": %d' % vote for vote in zip(
+                s.vote_node[lo:hi].tolist(), s.vote_count[lo:hi].tolist()
+            )],
         )
+        for group, run in itertools.groupby(cells, key=itemgetter(0)):
+            observed[group - 2 * start] = (
+                "{\n" + ",\n".join(line for _, line in run) + "\n      }"
+            )
+        rows = zip(
+            *(a[start:stop].tolist() for a in (g.node[:, 0], g.node[:, 1], g.k, g.kp)),
+            observed[0::2],
+            observed[1::2],
+            map(_JSON_BOOL.__getitem__, s.arc_ok[start:stop].tolist()),
+        )
+        yield [_JSON_ARC % row for row in rows]
 
-    flags = {
-        "components": sorted(counts) == expected,
-        "adjacency": adjacency_ok,
-        "residuals": decode_errors == 0
-        and max_relation <= RESIDUALS_FLAG_RELATION
-        and max_classification <= RESIDUALS_FLAG_CLASSIFICATION,
+
+def summary_chunks(s: Summary) -> Iterator[str]:
+    """The "tkchar-verify/1" document of s as text chunks, in the layout of
+    json.dumps(indent=2, sort_keys=True) with every float rounded to 12
+    significant digits; the adjacency entries, counts and expected
+    components come JSON_CHUNK at a time, so a writer never holds the whole
+    document.
+
+    Raises ValueError on a non-finite float, which strict JSON cannot hold,
+    at the call, before any chunk exists.
+    """
+    floats = {
+        "reducible_fraction": s.cfg.reducible_fraction,
+        "tolerance": s.cfg.tol,
+        "max_relation_residual": s.max_relation,
+        "max_classification_residual": s.max_classification,
     }
-    return {
-        "schema": "tkchar-verify/1",
-        "params": {"m": p.m, "n": p.n, "d": p.d},
-        "seed": cfg.seed,
-        "sample_count": cfg.sample_count,
-        "reducible_fraction": cfg.reducible_fraction,
-        "tolerance": cfg.tol,
-        "counts": dict(sorted(counts.items())),
-        "expected_components": expected,
-        "max_relation_residual": max_relation,
-        "max_classification_residual": max_classification,
-        "decode_errors": decode_errors,
-        "adjacency": adjacency,
-        "flags": flags,
-        "ok": all(flags.values()),
-    }
+    for key, x in floats.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{key} is non-finite ({x}); strict JSON cannot represent it")
+    return _summary_parts(s)
 
 
-def _round_floats(obj):
-    if isinstance(obj, bool) or isinstance(obj, int) or isinstance(obj, str) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        return _sig12(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _summary_parts(s: Summary) -> Iterator[str]:
+    """The chunks of summary_chunks, from its checked summary."""
+    cfg, g = s.cfg, s.graph
+    p = cfg.params
+    # keys sort as strings: every "irr:k,kp" before every "red:i", the
+    # labels as their decimals with "," below every digit
+    irr = np.lexsort((_decimal_rank(p.n)[g.kp], _decimal_rank(p.m)[g.k]))
+    red = _decimal_order(len(s.red_counts))
+    nodes = np.arange(len(s.red_counts))
+    yield '{\n  "adjacency": '
+    yield from _json_block(_arc_lines(s), "[]")
+    yield ',\n  "counts": '
+    yield from _json_block(
+        itertools.chain(
+            _lines('    "irr:%d,%d": %d', (g.k, g.kp, s.irr_counts), irr, s.irr_counts > 0),
+            _lines('    "red:%d": %d', (nodes, s.red_counts), red, s.red_counts > 0),
+        ),
+        "{}",
+    )
+    yield ',\n  "decode_errors": %d,\n  "expected_components": ' % s.decode_errors
+    yield from _json_block(
+        itertools.chain(
+            _lines('    "irr:%d,%d"', (g.k, g.kp), irr), _lines('    "red:%d"', (nodes,), red)
+        ),
+        "[]",
+    )
+    flags = s.flags
+    yield _JSON_TAIL % (
+        *(_JSON_BOOL[flags[key]] for key in ("adjacency", "components", "residuals")),
+        _json_number(s.max_classification),
+        _json_number(s.max_relation),
+        _JSON_BOOL[s.ok],
+        p.d,
+        p.m,
+        p.n,
+        _json_number(cfg.reducible_fraction),
+        cfg.sample_count,
+        cfg.seed,
+        _json_number(cfg.tol),
+    )
 
 
-def summary_to_json(summary: dict) -> str:
-    """Deterministic "tkchar-verify/1" serialization (sorted keys, 12
-    significant digits on every float)."""
-    return json.dumps(_round_floats(summary), indent=2, sort_keys=True, allow_nan=False)
+def summary_to_json(summary: Summary) -> str:
+    """The summary_chunks document as one string."""
+    return "".join(summary_chunks(summary))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tkchar.cli
+import tkchar.verify
 from tkchar.cli import main
 
 
@@ -182,7 +183,11 @@ class TestVerify:
 # sha256 of stdout, recorded before the SU(2)-only kernel refactor; any
 # change to these documents has to be deliberate and explained.  The verify
 # entries were re-recorded when the reducible decoder moved onto the graph's
-# fold rule: only max_classification_residual changed, and it fell.
+# fold rule: only max_classification_residual changed, and it fell.  The
+# last three verify entries were recorded from the Counter tally and the
+# json.dumps writer, before the array tally and summary_chunks replaced
+# them.  An entry is the sha256 of a run that exits 0, or (exit code,
+# sha256); leading NAME=value items of the key set environment variables.
 GOLDEN_SHA256 = {
     ("graph", "-m", "6", "-n", "9", "--format", "json"):
         "34c02b4b66400dae01daab97d329ce7598a539ab1886c9d23bd6ba2794b24752",
@@ -218,14 +223,40 @@ GOLDEN_SHA256 = {
     # multiplication
     ("verify", "-m", "2", "-n", "200", "-N", "2000", "--seed", "1"):
         "ddc2ffd56cc9fb2b7bc76f793e9eb443345b89816e9417843d96ba7ad2ee15e2",
+    # the benchmark's verify_30_45 order and sample count (638 arcs)
+    ("verify", "-m", "30", "-n", "45", "-N", "16000", "--seed", "1"):
+        "25ac0b60e3cd678f1444f7459a56a36dc4f753f5ca553be0866b88cf23076b54",
+    # d = 20: too few samples to see every component, so "components" is
+    # false and verify exits 1; "red:10" sorts before "red:2"
+    ("verify", "-m", "40", "-n", "60", "-N", "4000", "--seed", "3"):
+        (1, "311a076866f635e0d738e9072e5890eeb742b350561cd316845631cb0bacf67d"),
+    # an absurd tolerance: 49 decode errors, "residuals" false, exit 1
+    ("TKCHAR_TOL=1e-18", "verify", "-m", "3", "-n", "2", "-N", "400", "--seed", "1"):
+        (1, "685878c9c241dd7ce8822831f6f55c2a07c9243792af1e13b504c54dc3e15ab4"),
 }
 
 
+def golden(argv) -> tuple[int, str]:
+    """(exit code, sha256 of stdout) of a GOLDEN_SHA256 entry; a bare
+    digest means exit 0."""
+    want = GOLDEN_SHA256[argv]
+    return (0, want) if isinstance(want, str) else want
+
+
+def run_golden(capsys, monkeypatch, argv, *extra):
+    """run an entry of GOLDEN_SHA256, whose leading NAME=value items are
+    environment variables."""
+    while "=" in argv[0]:
+        name, _, value = argv[0].partition("=")
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
+    return run(capsys, *argv, *extra)
+
+
 @pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256), ids=" ".join)
-def test_golden_output_bytes(capsys, argv):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SHA256[argv]
+def test_golden_output_bytes(capsys, monkeypatch, argv):
+    code, out, _ = run_golden(capsys, monkeypatch, argv)
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == golden(argv)
 
 
 def test_graph_file_output_matches_stdout_golden(tmp_path, capsys):
@@ -234,6 +265,21 @@ def test_graph_file_output_matches_stdout_golden(tmp_path, capsys):
     code, out, _ = run(capsys, *argv, "-o", str(target))
     assert code == 0 and out == ""
     assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "-m", "30", "-n", "45", "-N", "16000", "--seed", "1"),
+        ("verify", "-m", "40", "-n", "60", "-N", "4000", "--seed", "3"),
+    ],
+    ids=" ".join,
+)
+def test_verify_file_output_matches_stdout_golden(tmp_path, capsys, monkeypatch, argv):
+    target = tmp_path / "summary.json"
+    code, out, _ = run_golden(capsys, monkeypatch, argv, "-o", str(target))
+    assert out == ""
+    assert (code, hashlib.sha256(target.read_bytes()).hexdigest()) == golden(argv)
 
 
 class TestPlumbing:
@@ -288,6 +334,25 @@ class TestPlumbing:
 
         monkeypatch.setattr(tkchar.cli, "build_graph", nan_graph)
         target = tmp_path / "g.json"
+        code, out, err = run(capsys, *argv, *(("-o", str(target)) if to_file else ()))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "non-finite" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_non_finite_summary_refused_before_writing(self, tmp_path, capsys, monkeypatch, to_file):
+        # a NaN residual from the kernel makes a NaN maximum, which the
+        # streamed summary refuses whole: exit 2, no partial stdout, no file
+        classify_arrays = tkchar.verify._classify_arrays
+
+        def nan_residual(*args):
+            out = classify_arrays(*args)
+            out.residual[np.flatnonzero(out.reason == tkchar.verify.OK)[:1]] = np.nan
+            return out
+
+        monkeypatch.setattr(tkchar.verify, "_classify_arrays", nan_residual)
+        target = tmp_path / "summary.json"
+        argv = ("verify", "-m", "4", "-n", "6", "-N", "300", "--seed", "1")
         code, out, err = run(capsys, *argv, *(("-o", str(target)) if to_file else ()))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "non-finite" in err

@@ -37,6 +37,17 @@ def test_graph_loads_no_oracle_modules():
     assert {"tkchar.verify", "tkchar.stream"} <= set(result["loaded"]["verify"])
 
 
+def test_verify_loads_no_json():
+    # the summary is written by summary_chunks' templates, not json.dumps
+    proc = run_python(
+        "import sys\n"
+        "from tkchar.cli import main\n"
+        "code = main(['verify', '-m', '4', '-n', '6', '-N', '300', '--seed', '1'])\n"
+        "print(code, 'json' in sys.modules, file=sys.stderr)\n"
+    )
+    assert proc.stderr.split() == ["0", "False"]
+
+
 def test_import_loads_no_submodule():
     proc = run_python(
         "import sys, tkchar; print(sorted(m for m in sys.modules if m.startswith('tkchar')))"

@@ -8,9 +8,9 @@ import sys
 import pytest
 
 from tkchar import stream
-from tkchar.components import GroupParams
+from tkchar.components import GroupParams, count_irr
 from tkchar.graph import build_graph, to_dot, to_json, to_svg_schematic
-from tkchar.verify import SampleConfig, _irr
+from tkchar.verify import SampleConfig, empirical_structure, summary_to_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -52,7 +52,7 @@ def test_oracle_stages():
     comment, slow, header, *rows = proc.stdout.splitlines()
     assert comment.startswith("# (m, n) = (4, 6), N = 600, seed 2")
     cfg = SampleConfig(params=GroupParams(4, 6), sample_count=600, seed=2)
-    fast = stream.draws(cfg.seed, range(600), cfg.reducible_fraction, 2, len(_irr(cfg.params)))[0]
+    fast = stream.draws(cfg.seed, range(600), cfg.reducible_fraction, 2, count_irr(cfg.params))[0]
     assert slow.startswith(f"# {int((~fast).sum())} of 600 indices left to numpy (")
     assert header.split() == ["stage", "seconds", "us/sample"]
     stages = {}
@@ -62,10 +62,10 @@ def test_oracle_stages():
         # seconds are printed to 0.1 ms, i.e. 0.083 us per sample here
         assert float(per_sample) == pytest.approx(1e6 * float(seconds) / 600, abs=0.1)
     assert list(stages) == [
-        "draw loop", "replica", "slow draws", "builders", "kernel", "graph", "tally",
-        "summary_to_json", "empirical_structure",
+        "draw loop", "replica", "slow draws", "builders", "kernel", "graph", "array tally",
+        "writer", "empirical_structure",
     ]
-    assert all(stages[s] > 0 for s in stages if s not in ("slow draws", "tally"))  # derived
+    assert all(stages[s] > 0 for s in stages if s not in ("slow draws", "array tally"))  # derived
 
 
 def test_graph_stages():
@@ -84,3 +84,23 @@ def test_graph_stages():
         assert float(per_arc) == pytest.approx(1e6 * float(seconds) / 276, abs=0.2)
     assert list(stages) == ["build_graph", "writer", "import tkchar.cli", "cli process"]
     assert all(seconds > 0 for seconds in stages.values())
+
+
+def test_verify_scale():
+    proc = run_script("verify_scale.py", "-m", "12", "-n", "18", "-N", "300", "--seed", "4")
+    assert proc.returncode == 0, proc.stderr
+    comment, *rows = proc.stdout.splitlines()
+    assert comment == "# (m, n) = (12, 18), N = 300, seed 4, 94 arcs, median of 1 rounds"
+    figures = {}
+    for row in rows:
+        *name, value = row.split()
+        figures[" ".join(name)] = float(value)
+    assert list(figures) == [
+        "empirical_structure s", "writer s", "json bytes", "cli process s", "cli exit",
+        "cli peak RSS MiB",
+    ]
+    cfg = SampleConfig(params=GroupParams(12, 18), sample_count=300, seed=4)
+    summary = empirical_structure(cfg)
+    assert figures["json bytes"] == len(summary_to_json(summary)) + 1
+    assert figures["cli exit"] == (0 if summary.ok else 1)
+    assert all(figures[name] > 0 for name in figures if name != "cli exit")

@@ -6,7 +6,7 @@ import pytest
 
 import tkchar.verify
 from tkchar import stream
-from tkchar.components import GroupParams
+from tkchar.components import GroupParams, count_irr
 from tkchar.verify import (
     CHUNK,
     GUARD,
@@ -15,7 +15,6 @@ from tkchar.verify import (
     _draw,
     _draw_arrays,
     _draw_bits,
-    _irr,
     empirical_structure,
     summary_to_json,
 )
@@ -25,7 +24,7 @@ ORDERS = [(7, 4), (2, 3), (4, 6), (30, 45), (2, 202)]
 
 def replica(cfg, indices):
     p = cfg.params
-    return stream.draws(cfg.seed, indices, cfg.reducible_fraction, p.d // 2 + 1, len(_irr(p)))
+    return stream.draws(cfg.seed, indices, cfg.reducible_fraction, p.d // 2 + 1, count_irr(p))
 
 
 def seeded_draw(cfg, words):

@@ -2,15 +2,29 @@
 empirical reconstruction of the component structure."""
 
 import cmath
+import dataclasses
 import json
 import math
+from collections import Counter
+from collections.abc import Mapping
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from tkchar.components import GroupParams, Irr, Red, alpha_root, enumerate_irr
-from tkchar.graph import _endpoint_rule, build_graph, involution_twist
+from tkchar.components import (
+    GroupParams,
+    Irr,
+    Red,
+    alpha_root,
+    count_irr,
+    enumerate_irr,
+    enumerate_red,
+    irr_labels,
+    irr_position,
+)
+from tkchar.graph import _endpoint_rule, _sig12, build_graph, involution_twist
 from tkchar.reps import build_irr, build_red_noncoprime, character, cross_ratio_of_pair
 from tkchar.roots import RootOfUnity, root
 from tkchar.su2 import (
@@ -27,17 +41,22 @@ from tkchar.verify import (
     AMBIGUOUS_A,
     AMBIGUOUS_B,
     CHUNK,
+    JSON_CHUNK,
     OK,
     PARITY,
     RELATION,
     AmbiguousDecodeError,
     SampleConfig,
+    _add_votes,
     _build_arrays,
     _classify_arrays,
+    _decimal_order,
+    _decimal_rank,
     _draw,
     _draw_arrays,
-    _irr,
+    _irr_tables,
     _labels,
+    _leaders,
     _red_arrays,
     canonical_red_angle,
     classify,
@@ -45,6 +64,7 @@ from tkchar.verify import (
     empirical_structure,
     find_conjugator,
     sample_pair,
+    summary_chunks,
     summary_to_json,
 )
 
@@ -140,8 +160,8 @@ class TestClassifyIrreducible:
         def refuse(p):
             raise AssertionError(f"irreducible labels of {p} enumerated")
 
-        monkeypatch.setattr(tkchar.verify, "_irr", refuse)
-        monkeypatch.setattr(tkchar.verify, "enumerate_irr", refuse)
+        monkeypatch.setattr(tkchar.verify, "_irr_tables", refuse)
+        monkeypatch.setattr(tkchar.verify, "irr_labels", refuse)
         p = GroupParams(m, n)
         rng = np.random.default_rng(m)
         labels = [(1, 1), (m // 2, m // 2), (m - 1, n - 1 - (m - n) % 2)]
@@ -353,16 +373,16 @@ class TestSamplePair:
             classify(GroupParams(3, 2), a, b)
 
     def test_per_order_work_done_once(self, monkeypatch):
-        # the label tuple is built once per (m, n), not once per sample
+        # the label arrays are built once per (m, n), not once per sample
         calls = []
-        real = tkchar.verify.enumerate_irr
+        real = tkchar.verify.irr_labels
 
         def counted(p):
             calls.append(p)
             return real(p)
 
-        monkeypatch.setattr(tkchar.verify, "enumerate_irr", counted)
-        tkchar.verify._irr.cache_clear()
+        monkeypatch.setattr(tkchar.verify, "irr_labels", counted)
+        tkchar.verify._irr_tables.cache_clear()
         empirical_structure(SampleConfig(params=GroupParams(30, 45), sample_count=2000, seed=3))
         assert 1 <= len(calls) <= 2
 
@@ -481,7 +501,7 @@ class TestEmpiricalStructure:
         ]:
             p = GroupParams(m, n)
             graph = build_graph(p)
-            arcs = graph.k.size  # arc j is _irr(p)[j]
+            arcs = graph.k.size  # arc j is enumerate_irr(p)[j]
             for t in ts:
                 side = 0 if t < 0.5 else 1
                 pairs = _build_arrays(
@@ -498,8 +518,15 @@ class TestEmpiricalStructure:
                 assert wrong.size == 0, ((m, n), t, graph.k[wrong[:3]], graph.kp[wrong[:3]])
 
     def test_summary_json_is_strict(self):
-        with pytest.raises(ValueError):
-            summary_to_json({"tolerance": float("nan")})
+        # a non-finite maximum is refused at the call, before a chunk exists
+        s = empirical_structure(SampleConfig(params=GroupParams(3, 2), sample_count=50, seed=2))
+        for field in ("max_relation", "max_classification"):
+            for bad in (math.nan, math.inf):
+                bad_summary = dataclasses.replace(s, **{field: bad})
+                with pytest.raises(ValueError, match="non-finite"):
+                    summary_to_json(bad_summary)
+                with pytest.raises(ValueError, match="non-finite"):
+                    summary_chunks(bad_summary)
 
     def test_component_key_format(self):
         assert component_key(Red(2)) == "red:2"
@@ -588,6 +615,7 @@ class TestBatchedOracle:
         reducible, j, u, _ = draws = _draw_arrays(cfg, range(cfg.sample_count))
         a, b = _build_arrays(p, *draws)
         out = _classify_arrays(p, a, b, cfg.tol)
+        comps = enumerate_irr(p)
         assert (out.reason == OK).all()
         assert out.reducible.tolist() == reducible.tolist()
         assert out.reducible.any() and not out.reducible.all()
@@ -599,7 +627,7 @@ class TestBatchedOracle:
                 node = canonical_red_angle(p, int(j[pos]), 2.0 * math.pi * u[pos])[0]
                 assert out.node[pos] == node, pos
             else:
-                comp = _irr(p)[j[pos]]
+                comp = comps[j[pos]]
                 assert (out.k[pos], out.kp[pos]) == (comp.k, comp.kp), pos
                 t = min(max(u[pos], 1e-12), 1.0 - 1e-12)
                 assert abs(out.coordinate[pos] - t) <= 1e-9, pos
@@ -673,3 +701,182 @@ class TestBatchedOracle:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def _round_floats(obj):
+    """The reference serializer's float rounding: _sig12 on every float."""
+    if isinstance(obj, bool) or isinstance(obj, int) or isinstance(obj, str) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return _sig12(obj)
+    if isinstance(obj, Mapping):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def reference_json(summary) -> str:
+    """The tkchar-verify/1 document of a summary mapping by json.dumps."""
+    return json.dumps(_round_floats(summary), indent=2, sort_keys=True, allow_nan=False)
+
+
+def reference_summary(cfg: SampleConfig) -> dict:
+    """The summary as a Counter tally makes it, one sample at a time in
+    index order, from the kernel's decisions."""
+    p = cfg.params
+    g = build_graph(p)
+    expected = sorted(
+        [component_key(info.id) for info in enumerate_red(p)]
+        + [component_key(c) for c in enumerate_irr(p)]
+    )
+    labels = list(zip(g.k.tolist(), g.kp.tolist()))
+    counts: Counter[str] = Counter()
+    votes = {key: [Counter(), Counter()] for key in labels}
+    max_relation = max_classification = 0.0
+    decode_errors = 0
+    out = _classify_arrays(p, *_build_arrays(p, *_draw_arrays(cfg, range(cfg.sample_count))), cfg.tol)
+    for i in range(cfg.sample_count):
+        if out.reason[i] != OK:
+            decode_errors += 1
+            continue
+        max_relation = max(max_relation, float(out.relation[i]))
+        max_classification = max(max_classification, float(out.residual[i]))
+        if out.reducible[i]:
+            counts[component_key(Red(int(out.node[i])))] += 1
+            continue
+        key = (int(out.k[i]), int(out.kp[i]))
+        counts[component_key(Irr(*key))] += 1
+        t = float(out.coordinate[i])
+        if not 0.02 <= t <= 0.98:
+            votes[key][0 if t < 0.02 else 1][int(out.node[i])] += 1
+    adjacency = []
+    for key, ends in zip(labels, g.node.tolist()):
+        arc_ok = all(
+            not tally or tally.most_common(1)[0][0] == ends[side]
+            for side, tally in enumerate(votes[key])
+        )
+        observed = [{str(node): c for node, c in sorted(tally.items())} for tally in votes[key]]
+        adjacency.append(
+            {"k": key[0], "kp": key[1], "expected": ends, "observed_t0": observed[0],
+             "observed_t1": observed[1], "ok": arc_ok}
+        )
+    flags = {
+        "components": sorted(counts) == expected,
+        "adjacency": all(arc["ok"] for arc in adjacency),
+        "residuals": decode_errors == 0 and max_relation <= 1e-9 and max_classification <= 1e-6,
+    }
+    return {
+        "schema": "tkchar-verify/1",
+        "params": {"m": p.m, "n": p.n, "d": p.d},
+        "seed": cfg.seed,
+        "sample_count": cfg.sample_count,
+        "reducible_fraction": cfg.reducible_fraction,
+        "tolerance": cfg.tol,
+        "counts": dict(sorted(counts.items())),
+        "expected_components": expected,
+        "max_relation_residual": max_relation,
+        "max_classification_residual": max_classification,
+        "decode_errors": decode_errors,
+        "adjacency": adjacency,
+        "flags": flags,
+        "ok": all(flags.values()),
+    }
+
+
+# (m, n, N, seed, reducible fraction, tol)
+SUMMARY_SWEEP = [
+    (3, 2, 1, 0, 0.25, 1e-9),  # N below the component count
+    (4, 6, 7, 1, 0.25, 1e-9),
+    (3, 2, 400, 1, 0.25, 1e-18),  # decode errors
+    (12, 18, 500, 4, 0.0, 1e-9),  # no reducible sample
+    (12, 18, 300, 4, 1.0, 1e-9),  # no irreducible sample, so no vote
+    (7, 4, 600, 2, 0.25, 1e-9),  # d = 1
+    (30, 45, 2500, 1, 0.25, 1e-9),
+    (40, 60, 1500, 3, 0.25, 1e-9),  # d = 20: "red:10" before "red:2"
+    (42, 63, 3000, 5, 0.25, 1e-9),  # d = 21: node "10" before "2" in votes
+]
+
+
+class TestSummaryWriter:
+    """The array tally and summary_chunks against a Counter tally and json.dumps."""
+
+    @pytest.mark.parametrize("m, n, count, seed, fraction, tol", SUMMARY_SWEEP)
+    def test_bytes_match_reference_serializer(self, monkeypatch, m, n, count, seed, fraction, tol):
+        cfg = SampleConfig(GroupParams(m, n), count, seed, fraction, tol)
+        s = empirical_structure(cfg)
+        want = reference_summary(cfg)
+        assert dict(s) == want
+        text = reference_json(want)
+        assert reference_json(s) == text
+        assert s.ok is want["ok"] and s.flags == want["flags"]
+        for chunk in (1, 2, 7, JSON_CHUNK):
+            monkeypatch.setattr(tkchar.verify, "JSON_CHUNK", chunk)
+            assert summary_to_json(s) == text, chunk
+
+    def test_int_floats_stay_ints(self):
+        # an int fraction is written as json.dumps writes it
+        cfg = SampleConfig(GroupParams(4, 6), 30, 2, reducible_fraction=1)
+        s = empirical_structure(cfg)
+        assert summary_to_json(s) == reference_json(s)
+        assert '"reducible_fraction": 1,' in summary_to_json(s)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=60),
+        st.integers(1, 7),
+    )
+    def test_leaders_pick_most_common(self, votes, split):
+        # (group, node) votes in index order, cast split at a time: the
+        # array winner of each group is Counter.most_common(1)'s
+        tallies: dict[int, Counter] = {}
+        for group, node in votes:
+            tallies.setdefault(group, Counter())[node] += 1
+        empty = np.zeros(0, dtype=np.int64)
+        state = (empty, empty, empty)
+        for start in range(0, len(votes), split):
+            part = votes[start : start + split]
+            cells = np.array([5 * group + node for group, node in part], dtype=np.int64)
+            state = _add_votes(state, cells, np.arange(start, start + len(part)))
+        cell, first, count = state
+        group, node = np.divmod(cell, 5)
+        assert dict(zip(zip(group.tolist(), node.tolist()), count.tolist())) == {
+            (g, n): c for g, tally in tallies.items() for n, c in tally.items()
+        }
+        lead = _leaders(group, count, first)
+        assert {int(group[j]): int(node[j]) for j in lead} == {
+            g: tally.most_common(1)[0][0] for g, tally in tallies.items()
+        }
+
+    @pytest.mark.parametrize("size", [1, 2, 9, 10, 11, 99, 100, 101, 1234, 20001])
+    def test_decimal_order_is_string_order(self, size):
+        order = sorted(range(size), key=str)
+        assert _decimal_order(size).tolist() == order
+        assert np.argsort(_decimal_rank(size)).tolist() == order
+
+    @pytest.mark.parametrize(
+        "m, n", [(2, 2), (3, 2), (4, 6), (7, 4), (6, 9), (12, 18), (30, 45), (41, 2), (2, 41)]
+    )
+    def test_label_arrays_in_enumerate_irr_order(self, m, n):
+        # irr_labels, the builder's tables and the graph's arcs list the
+        # labels in enumerate_irr's order, and irr_position inverts it
+        p = GroupParams(m, n)
+        want = [(c.k, c.kp) for c in enumerate_irr(p)]
+        g = build_graph(p)
+        for k, kp in (irr_labels(p), _irr_tables(p)[:2], (g.k, g.kp)):
+            assert list(zip(k.tolist(), kp.tolist())) == want
+        k, kp = irr_labels(p)
+        assert irr_position(p, k, kp).tolist() == list(range(count_irr(p)))
+
+    def test_writer_memory_bounded(self):
+        # draining the writer holds a small part of its 5.4 MB document
+        import tracemalloc
+
+        s = empirical_structure(SampleConfig(GroupParams(200, 300), 1000, 1))
+        tracemalloc.start()
+        try:
+            size = sum(len(chunk) for chunk in summary_chunks(s))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 5_000_000
+        assert peak < size / 3, (peak, size)
