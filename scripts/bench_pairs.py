@@ -12,6 +12,11 @@ spread exceeds the metric's bound, else "ok"), the ratio of the medians
 (after over before) and in how many pairs the second tree was better.
 Progress goes to stderr.
 
+With PYTHONDONTWRITEBYTECODE set, a tree holding a __pycache__ under src/
+would load cached bytecode while the other compiles tkchar in every
+process, which skews every time metric; the script then refuses to start
+and names the directories.  Remove them first.
+
 Usage:
     python3 scripts/bench_pairs.py --before ../parent --after . --out BENCH_9.json
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +51,11 @@ def run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
             "metrics": {k: v["value"] for k, v in doc["metrics"].items()}}
 
 
+def bytecode_caches(trees) -> list[Path]:
+    """The __pycache__ directories under src/ of the trees."""
+    return sorted(cache for tree in trees for cache in (tree / "src").rglob("__pycache__"))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", type=Path, required=True, help="root of the old tree")
@@ -55,6 +66,11 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
+    caches = bytecode_caches(trees.values()) if os.environ.get("PYTHONDONTWRITEBYTECODE") else []
+    if caches:
+        print("error: PYTHONDONTWRITEBYTECODE is set, so only a tree without cached bytecode "
+              "would compile tkchar per process; remove:", *caches, sep="\n  ", file=sys.stderr)
+        return 2
     record = {"machine": machine(), "seconds": seconds, "pairs": PAIRS,
               "heldout_seed": HELDOUT_SEED, "workloads": {}}
     for w in bench["workloads"]:

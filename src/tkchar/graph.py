@@ -33,14 +33,18 @@ Serialization targets the "tkchar-graph/1" layout: a JSON object with
 exactly the fields params / nodes / arcs, written directly from the arrays
 in the layout of json.dumps(indent=2, sort_keys=True).  json_chunks yields
 it CHUNK arcs at a time, so a writer never holds the whole document;
-to_json joins the chunks.  DOT and schematic SVG render the same structure.
+to_json joins the chunks.  _json_block writes the depth-1 lists of both
+JSON documents, this one and verify's "tkchar-verify/1", and CHUNK is the
+chunk size of both writers.  DOT and schematic SVG render the same
+structure.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,12 +310,31 @@ _JSON_TAIL = """,
   }
 }"""
 
-# Arcs per chunk of json_chunks: about 330 kB of text.
+# Items per chunk of both JSON writers, json_chunks and summary_chunks
+# (arcs, counts or expected components): about 330 kB of graph text.
 CHUNK = 1024
 
 
-def _json_list(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _json_block(parts: Iterable[list[str]], brackets: str) -> Iterator[str]:
+    """A list or object ("[]" or "{}") at depth 1 of the indent-2 layout,
+    its item lines given in lists, one chunk per non-empty list."""
+    empty = True
+    for items in parts:
+        if items:
+            yield (brackets[0] if empty else ",") + "\n" + ",\n".join(items)
+            empty = False
+    yield brackets if empty else "\n  " + brackets[1]
+
+
+def _arc_lines(g: IncidenceGraph, text: list[str], which: np.ndarray, part: slice) -> list[str]:
+    """The "arcs" entries in part; text[which] is each endpoint's s_real."""
+    node0, den0, num0, node1, den1, num1 = (
+        a[part, side].tolist() for side in (0, 1) for a in (g.node, g.den, g.num)
+    )
+    s0, s1 = (map(text.__getitem__, which[part, side].tolist()) for side in (0, 1))
+    rows = zip(node0, s0, den0, num0, node1, s1, den1, num1,
+               g.k[part].tolist(), g.kp[part].tolist())
+    return [_JSON_ARC % row for row in rows]
 
 
 def json_chunks(g: IncidenceGraph) -> Iterator[str]:
@@ -329,28 +352,12 @@ def json_chunks(g: IncidenceGraph) -> Iterator[str]:
     # once, keyed by its bits so that 0.0 and -0.0 stay apart
     bits, which = np.unique(np.ascontiguousarray(g.s_real).view(np.int64), return_inverse=True)
     text = [repr(_sig12(x)) for x in bits.view(np.float64).tolist()]
+    which = which.reshape(g.s_real.shape)
+    chunk = CHUNK  # read once, at the call
+    arcs = (_arc_lines(g, text, which, slice(i, i + chunk)) for i in range(0, len(g.k), chunk))
     nodes = [_JSON_NODE % (info.id.i, info.su2_topology) for info in g.nodes]
-    tail = _JSON_TAIL % (_json_list(nodes), g.params.d, g.params.m, g.params.n)
-    return _json_arcs(g, text, which.reshape(g.s_real.shape), tail)
-
-
-def _json_arcs(g: IncidenceGraph, text: list[str], which: np.ndarray, tail: str) -> Iterator[str]:
-    """The chunks of json_chunks, from its checked and formatted parts."""
-    if not len(g.k):
-        yield _JSON_HEAD + "[]" + tail
-        return
-    lead = _JSON_HEAD + "[\n"
-    for start in range(0, len(g.k), CHUNK):
-        part = slice(start, start + CHUNK)
-        node0, den0, num0, node1, den1, num1 = (
-            a[part, side].tolist() for side in (0, 1) for a in (g.node, g.den, g.num)
-        )
-        s0, s1 = (map(text.__getitem__, which[part, side].tolist()) for side in (0, 1))
-        rows = zip(node0, s0, den0, num0, node1, s1, den1, num1,
-                   g.k[part].tolist(), g.kp[part].tolist())
-        yield lead + ",\n".join([_JSON_ARC % row for row in rows])
-        lead = ",\n"
-    yield "\n  ]" + tail
+    tail = _JSON_TAIL % ("".join(_json_block([nodes], "[]")), g.params.d, g.params.m, g.params.n)
+    return itertools.chain([_JSON_HEAD], _json_block(arcs, "[]"), [tail])
 
 
 def to_json(g: IncidenceGraph) -> str:

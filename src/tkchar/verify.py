@@ -53,8 +53,9 @@ with the most votes, ties going to the earliest first vote, which is what
 Counter.most_common(1) picks when votes are counted one sample at a time.
 summary_chunks writes the "tkchar-verify/1" document from these arrays
 with %-templates, in chunks, its keys sorted as strings as
-json.dumps(sort_keys=True) sorts them; a Summary is also a read-only
-mapping whose dict view is built on first access, for library callers.
+json.dumps(sort_keys=True) sorts them.  It is the one definition of that
+document; its lists go through graph._json_block, the list writer of the
+"tkchar-graph/1" document too, graph.CHUNK items at a time.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import cmath
 import functools
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -78,7 +79,8 @@ from .components import (
     irr_labels,
     irr_position,
 )
-from .graph import IncidenceGraph, _endpoint_rule, _sig12, build_graph
+from . import graph
+from .graph import IncidenceGraph, _endpoint_rule, _json_block, _sig12, build_graph
 from .reps import _alpha_conj, character
 from .roots import root
 from .su2 import (
@@ -540,12 +542,6 @@ def find_conjugator(
     return conj
 
 
-def component_key(comp: ComponentId) -> str:
-    if isinstance(comp, Red):
-        return f"red:{comp.i}"
-    return f"irr:{comp.k},{comp.kp}"
-
-
 def _decimal_order(size: int) -> np.ndarray:
     """0 .. size - 1 (size >= 1) in the order of their decimal strings
     ("10" before "2"), as sort_keys sorts them: by the digits padded on
@@ -590,7 +586,7 @@ def _leaders(group: np.ndarray, count: np.ndarray, first: np.ndarray) -> np.ndar
 
 
 @dataclass(frozen=True, eq=False)
-class Summary(Mapping):
+class Summary:
     """The tally of one empirical_structure run, as arrays.
 
     red_counts counts the samples on each node and irr_counts those on each
@@ -600,11 +596,7 @@ class Summary(Mapping):
     2*arc + side is an arc end, node the node voted for; they are sorted by
     group, then by node as a string, the document's order.  arc_ok holds
     whether each arc end's most-voted node, if it has votes, is its graph
-    endpoint.
-
-    As a read-only mapping it is the "tkchar-verify/1" document before
-    float rounding, built from the arrays on first access; summary_chunks
-    writes the same document from the arrays directly.
+    endpoint.  summary_chunks writes its "tkchar-verify/1" document.
     """
 
     cfg: SampleConfig
@@ -634,65 +626,6 @@ class Summary(Mapping):
     @property
     def ok(self) -> bool:
         return all(self.flags.values())
-
-    @functools.cached_property
-    def _view(self) -> dict:
-        cfg, g = self.cfg, self.graph
-        p = cfg.params
-        labels = list(zip(g.k.tolist(), g.kp.tolist()))
-        observed: list[dict[str, int]] = [{} for _ in range(2 * len(labels))]
-        votes = zip(self.vote_group.tolist(), self.vote_node.tolist(), self.vote_count.tolist())
-        for group, node, count in votes:
-            observed[group][str(node)] = count
-        counts = {
-            component_key(Red(i)): count
-            for i, count in enumerate(self.red_counts.tolist())
-            if count
-        } | {
-            component_key(Irr(*key)): count
-            for key, count in zip(labels, self.irr_counts.tolist())
-            if count
-        }
-        return {
-            "schema": "tkchar-verify/1",
-            "params": {"m": p.m, "n": p.n, "d": p.d},
-            "seed": cfg.seed,
-            "sample_count": cfg.sample_count,
-            "reducible_fraction": cfg.reducible_fraction,
-            "tolerance": cfg.tol,
-            "counts": dict(sorted(counts.items())),
-            "expected_components": sorted(
-                [component_key(info.id) for info in g.nodes]
-                + [component_key(Irr(*key)) for key in labels]
-            ),
-            "max_relation_residual": self.max_relation,
-            "max_classification_residual": self.max_classification,
-            "decode_errors": self.decode_errors,
-            "adjacency": [
-                {
-                    "k": k,
-                    "kp": kp,
-                    "expected": ends,
-                    "observed_t0": observed[2 * j],
-                    "observed_t1": observed[2 * j + 1],
-                    "ok": ok,
-                }
-                for j, ((k, kp), ends, ok) in enumerate(
-                    zip(labels, g.node.tolist(), self.arc_ok.tolist())
-                )
-            ],
-            "flags": self.flags,
-            "ok": self.ok,
-        }
-
-    def __getitem__(self, key: str):
-        return self._view[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._view)
-
-    def __len__(self) -> int:
-        return len(self._view)
 
 
 def empirical_structure(cfg: SampleConfig) -> Summary:
@@ -791,48 +724,37 @@ _JSON_TAIL = """,
 
 _JSON_BOOL = ("false", "true")
 
-# Arcs (or counts, or expected components) per chunk of summary_chunks.
-JSON_CHUNK = 1024
-
-
 def _json_number(x: float) -> str:
     """x as json.dumps writes it after rounding a float to 12 significant
     digits (an int stays an int)."""
     return repr(_sig12(x)) if isinstance(x, float) else "%d" % x
 
 
-def _json_block(parts: Iterable[list[str]], brackets: str) -> Iterator[str]:
-    """A list or object ("[]" or "{}") at depth 1 of the indent-2 layout,
-    its item lines given in lists, one chunk per non-empty list."""
-    empty = True
-    for items in parts:
-        if items:
-            yield (brackets[0] if empty else ",") + "\n" + ",\n".join(items)
-            empty = False
-    yield brackets if empty else "\n  " + brackets[1]
-
-
 def _lines(
-    template: str, columns: tuple[np.ndarray, ...], order: np.ndarray, keep: np.ndarray | None = None
+    template: str,
+    columns: tuple[np.ndarray, ...],
+    order: np.ndarray,
+    chunk: int,
+    keep: np.ndarray | None = None,
 ) -> Iterator[list[str]]:
     """template % the row of columns at each position of order (those that
-    keep holds), JSON_CHUNK positions at a time."""
-    for start in range(0, len(order), JSON_CHUNK):
-        j = order[start : start + JSON_CHUNK]
+    keep holds), chunk positions at a time."""
+    for start in range(0, len(order), chunk):
+        j = order[start : start + chunk]
         if keep is not None:
             j = j[keep[j]]
         yield [template % row for row in zip(*(c[j].tolist() for c in columns))]
 
 
-def _arc_lines(s: Summary) -> Iterator[list[str]]:
-    """The adjacency entries, JSON_CHUNK arcs at a time."""
+def _arc_lines(s: Summary, chunk: int) -> Iterator[list[str]]:
+    """The adjacency entries, chunk arcs at a time."""
     g = s.graph
     arcs = len(g.k)
     # the vote cells of chunk i are bounds[i]:bounds[i + 1], as they are sorted by arc
-    per_chunk = np.bincount(s.vote_group // (2 * JSON_CHUNK), minlength=-(-arcs // JSON_CHUNK))
+    per_chunk = np.bincount(s.vote_group // (2 * chunk), minlength=-(-arcs // chunk))
     bounds = [0, *np.cumsum(per_chunk).tolist()]
-    for start, lo, hi in zip(range(0, arcs, JSON_CHUNK), bounds, bounds[1:]):
-        stop = min(start + JSON_CHUNK, arcs)
+    for start, lo, hi in zip(range(0, arcs, chunk), bounds, bounds[1:]):
+        stop = min(start + chunk, arcs)
         observed = ["{}"] * (2 * (stop - start))
         cells = zip(
             s.vote_group[lo:hi].tolist(),
@@ -857,8 +779,8 @@ def summary_chunks(s: Summary) -> Iterator[str]:
     """The "tkchar-verify/1" document of s as text chunks, in the layout of
     json.dumps(indent=2, sort_keys=True) with every float rounded to 12
     significant digits; the adjacency entries, counts and expected
-    components come JSON_CHUNK at a time, so a writer never holds the whole
-    document.
+    components come graph.CHUNK at a time, each list through
+    graph._json_block, so a writer never holds the whole document.
 
     Raises ValueError on a non-finite float, which strict JSON cannot hold,
     at the call, before any chunk exists.
@@ -872,10 +794,10 @@ def summary_chunks(s: Summary) -> Iterator[str]:
     for key, x in floats.items():
         if not math.isfinite(x):
             raise ValueError(f"{key} is non-finite ({x}); strict JSON cannot represent it")
-    return _summary_parts(s)
+    return _summary_parts(s, graph.CHUNK)
 
 
-def _summary_parts(s: Summary) -> Iterator[str]:
+def _summary_parts(s: Summary, chunk: int) -> Iterator[str]:
     """The chunks of summary_chunks, from its checked summary."""
     cfg, g = s.cfg, s.graph
     p = cfg.params
@@ -885,19 +807,20 @@ def _summary_parts(s: Summary) -> Iterator[str]:
     red = _decimal_order(len(s.red_counts))
     nodes = np.arange(len(s.red_counts))
     yield '{\n  "adjacency": '
-    yield from _json_block(_arc_lines(s), "[]")
+    yield from _json_block(_arc_lines(s, chunk), "[]")
     yield ',\n  "counts": '
     yield from _json_block(
         itertools.chain(
-            _lines('    "irr:%d,%d": %d', (g.k, g.kp, s.irr_counts), irr, s.irr_counts > 0),
-            _lines('    "red:%d": %d', (nodes, s.red_counts), red, s.red_counts > 0),
+            _lines('    "irr:%d,%d": %d', (g.k, g.kp, s.irr_counts), irr, chunk, s.irr_counts > 0),
+            _lines('    "red:%d": %d', (nodes, s.red_counts), red, chunk, s.red_counts > 0),
         ),
         "{}",
     )
     yield ',\n  "decode_errors": %d,\n  "expected_components": ' % s.decode_errors
     yield from _json_block(
         itertools.chain(
-            _lines('    "irr:%d,%d"', (g.k, g.kp), irr), _lines('    "red:%d"', (nodes,), red)
+            _lines('    "irr:%d,%d"', (g.k, g.kp), irr, chunk),
+            _lines('    "red:%d"', (nodes,), red, chunk),
         ),
         "[]",
     )

@@ -345,8 +345,8 @@ class TestSerialization:
         for g in [*graphs, without_arcs(graphs[3]), signed_zero]:
             arcs = len(g.k)
             assert to_json(g) == reference_json(g), (g.params, chunk)
-            # the head rides on the first arc chunk, the tail is one more
-            assert len(list(json_chunks(g))) == (-(-arcs // chunk) + 1 if arcs else 1)
+            # the head, the arc chunks, the list's close and the tail
+            assert len(list(json_chunks(g))) == -(-arcs // chunk) + 3
 
     def test_json_chunks_memory_below_document(self):
         import tracemalloc

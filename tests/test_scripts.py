@@ -104,3 +104,29 @@ def test_verify_scale():
     assert figures["json bytes"] == len(summary_to_json(summary)) + 1
     assert figures["cli exit"] == (0 if summary.ok else 1)
     assert all(figures[name] > 0 for name in figures if name != "cli exit")
+
+
+@pytest.mark.parametrize("cached", ["before", "after"])
+def test_bench_pairs_refuses_one_sided_bytecode_cache(tmp_path, cached):
+    # each tree's perfbench/run.py would leave a mark if bench_pairs ran it
+    trees = {}
+    for side in ("before", "after"):
+        tree = trees[side] = tmp_path / side
+        (tree / "src" / "tkchar").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "perfbench" / "run.py").write_text(
+            f"open({str(tmp_path / 'started')!r}, 'a').close()\n"
+        )
+    cache = trees[cached] / "src" / "tkchar" / "__pycache__"
+    cache.mkdir()
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--before", str(trees["before"]),
+         "--after", str(trees["after"]), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert str(cache) in proc.stderr
+    assert not (tmp_path / "started").exists() and not out.exists()

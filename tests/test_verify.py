@@ -6,7 +6,6 @@ import dataclasses
 import json
 import math
 from collections import Counter
-from collections.abc import Mapping
 
 import mpmath
 import numpy as np
@@ -35,13 +34,13 @@ from tkchar.su2 import (
     mat_pow,
     sup_diff,
 )
+import tkchar.graph
 import tkchar.reps
 import tkchar.verify
 from tkchar.verify import (
     AMBIGUOUS_A,
     AMBIGUOUS_B,
     CHUNK,
-    JSON_CHUNK,
     OK,
     PARITY,
     RELATION,
@@ -60,7 +59,6 @@ from tkchar.verify import (
     _red_arrays,
     canonical_red_angle,
     classify,
-    component_key,
     empirical_structure,
     find_conjugator,
     sample_pair,
@@ -451,15 +449,15 @@ class TestFindConjugator:
 class TestEmpiricalStructure:
     def test_trefoil_reconstruction(self):
         cfg = SampleConfig(params=GroupParams(3, 2), sample_count=10000, seed=0)
-        s = empirical_structure(cfg)
-        assert s["ok"] is True
-        assert sorted(s["counts"]) == ["irr:1,1", "red:0"]
-        assert s["decode_errors"] == 0
-        assert s["max_relation_residual"] < 1e-10
-        assert s["max_classification_residual"] < 1e-6
-        assert all(arc["ok"] for arc in s["adjacency"])
+        doc = json.loads(summary_to_json(empirical_structure(cfg)))
+        assert doc["ok"] is True
+        assert sorted(doc["counts"]) == ["irr:1,1", "red:0"]
+        assert doc["decode_errors"] == 0
+        assert doc["max_relation_residual"] < 1e-10
+        assert doc["max_classification_residual"] < 1e-6
+        assert all(arc["ok"] for arc in doc["adjacency"])
         # both limit sides of the single arc were observed and matched node 0
-        arc = s["adjacency"][0]
+        arc = doc["adjacency"][0]
         assert arc["expected"] == [0, 0]
         assert sum(arc["observed_t0"].values()) > 0
         assert sum(arc["observed_t1"].values()) > 0
@@ -528,15 +526,11 @@ class TestEmpiricalStructure:
                 with pytest.raises(ValueError, match="non-finite"):
                     summary_chunks(bad_summary)
 
-    def test_component_key_format(self):
-        assert component_key(Red(2)) == "red:2"
-        assert component_key(Irr(3, 5)) == "irr:3,5"
-
     def test_tight_tolerance_fails_verification(self):
         # an absurd tolerance misroutes reducible samples; flags must drop
         cfg = SampleConfig(params=GroupParams(3, 2), sample_count=400, seed=1, tol=1e-18)
         s = empirical_structure(cfg)
-        assert s["ok"] is False
+        assert s.ok is False
 
 
 def reference_pair(cfg: SampleConfig, comps, index: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
@@ -683,7 +677,7 @@ class TestBatchedOracle:
         # build_red_noncoprime normalizes its coordinate through reps._unit
         monkeypatch.setattr(tkchar.reps, "_unit", refuse)
         s = empirical_structure(SampleConfig(params=GroupParams(4, 6), sample_count=300, seed=1))
-        assert s["ok"] is True
+        assert s.ok is True
 
     def test_memory_bounded_by_chunk(self):
         # peak traced memory does not grow with the sample count
@@ -709,16 +703,21 @@ def _round_floats(obj):
         return obj
     if isinstance(obj, float):
         return _sig12(obj)
-    if isinstance(obj, Mapping):
+    if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
     return obj
 
 
-def reference_json(summary) -> str:
-    """The tkchar-verify/1 document of a summary mapping by json.dumps."""
+def reference_json(summary: dict) -> str:
+    """The tkchar-verify/1 document of a reference_summary by json.dumps."""
     return json.dumps(_round_floats(summary), indent=2, sort_keys=True, allow_nan=False)
+
+
+def doc_key(comp) -> str:
+    """The document's key of a component: "red:i" or "irr:k,kp"."""
+    return f"red:{comp.i}" if isinstance(comp, Red) else f"irr:{comp.k},{comp.kp}"
 
 
 def reference_summary(cfg: SampleConfig) -> dict:
@@ -727,8 +726,7 @@ def reference_summary(cfg: SampleConfig) -> dict:
     p = cfg.params
     g = build_graph(p)
     expected = sorted(
-        [component_key(info.id) for info in enumerate_red(p)]
-        + [component_key(c) for c in enumerate_irr(p)]
+        [doc_key(info.id) for info in enumerate_red(p)] + [doc_key(c) for c in enumerate_irr(p)]
     )
     labels = list(zip(g.k.tolist(), g.kp.tolist()))
     counts: Counter[str] = Counter()
@@ -743,10 +741,10 @@ def reference_summary(cfg: SampleConfig) -> dict:
         max_relation = max(max_relation, float(out.relation[i]))
         max_classification = max(max_classification, float(out.residual[i]))
         if out.reducible[i]:
-            counts[component_key(Red(int(out.node[i])))] += 1
+            counts[doc_key(Red(int(out.node[i])))] += 1
             continue
         key = (int(out.k[i]), int(out.kp[i]))
-        counts[component_key(Irr(*key))] += 1
+        counts[doc_key(Irr(*key))] += 1
         t = float(out.coordinate[i])
         if not 0.02 <= t <= 0.98:
             votes[key][0 if t < 0.02 else 1][int(out.node[i])] += 1
@@ -806,20 +804,32 @@ class TestSummaryWriter:
         cfg = SampleConfig(GroupParams(m, n), count, seed, fraction, tol)
         s = empirical_structure(cfg)
         want = reference_summary(cfg)
-        assert dict(s) == want
+        # the tally itself, its maxima unrounded
+        g = s.graph
+        counts = {doc_key(Red(i)): c for i, c in enumerate(s.red_counts.tolist()) if c} | {
+            doc_key(Irr(k, kp)): c
+            for k, kp, c in zip(g.k.tolist(), g.kp.tolist(), s.irr_counts.tolist())
+            if c
+        }
+        assert counts == want["counts"]
+        assert s.max_relation == want["max_relation_residual"]
+        assert s.max_classification == want["max_classification_residual"]
+        assert s.decode_errors == want["decode_errors"]
+        assert s.flags == want["flags"] and s.ok is want["ok"]
         text = reference_json(want)
-        assert reference_json(s) == text
-        assert s.ok is want["ok"] and s.flags == want["flags"]
-        for chunk in (1, 2, 7, JSON_CHUNK):
-            monkeypatch.setattr(tkchar.verify, "JSON_CHUNK", chunk)
-            assert summary_to_json(s) == text, chunk
+        for chunk in (1, 2, 7, tkchar.graph.CHUNK):
+            monkeypatch.setattr(tkchar.graph, "CHUNK", chunk)
+            chunks = list(summary_chunks(s))
+            assert "".join(chunks) == text, chunk
+            # the adjacency and expected_components lists each break at every chunk arcs
+            assert len(chunks) >= 2 * -(-len(g.k) // chunk)
 
     def test_int_floats_stay_ints(self):
         # an int fraction is written as json.dumps writes it
         cfg = SampleConfig(GroupParams(4, 6), 30, 2, reducible_fraction=1)
-        s = empirical_structure(cfg)
-        assert summary_to_json(s) == reference_json(s)
-        assert '"reducible_fraction": 1,' in summary_to_json(s)
+        text = summary_to_json(empirical_structure(cfg))
+        assert text == reference_json(reference_summary(cfg))
+        assert '"reducible_fraction": 1,' in text
 
     @given(
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=60),
