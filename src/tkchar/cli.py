@@ -5,9 +5,9 @@ or SVG serialization of the incidence graph), rep (build explicit matrices
 and print characters), verify (run the sampling oracle and report).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
-an -o path that cannot be written).  The
-environment variable TKCHAR_TOL overrides the global numerical tolerance;
-it must be a finite number > 0.
+an -o path or a stdout that cannot be written, such as a closed pipe or a
+full disk).  The environment variable TKCHAR_TOL overrides the global
+numerical tolerance; it must be a finite number > 0.
 All randomness is seeded; every subcommand is byte-deterministic given its
 flags.
 """
@@ -29,10 +29,20 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write the text chunks and one newline to stdout or to the file out.
 
     Each chunk is one write (one system call on an unbuffered stdout), so
-    callers pass whole documents or large chunks, never a line at a time."""
+    callers pass whole documents or large chunks, never a line at a time.
+    A stdout or out that cannot be written raises ValueError."""
     if out is None:
-        sys.stdout.writelines(chunks)
-        sys.stdout.write("\n")
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.write("\n")
+            sys.stdout.flush()  # a document smaller than the buffer fails only here
+        except OSError as exc:
+            # fd 1 on /dev/null, so the flush at exit of what is left in
+            # stdout's buffer (closed pipe, full disk) fails no second time
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8") as f:

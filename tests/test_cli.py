@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -299,6 +300,46 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert "1 reducible" in proc.stdout
+
+    # stdout buffered, as it is by default, so small documents fail only
+    # when stdout is flushed
+    BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+    @staticmethod
+    def assert_stdout_usage_error(code, err, reason):
+        # exit 1 means "verification failed"; a stdout that cannot be written
+        # is a usage error, reported once, with no traceback at any flush
+        assert code == 2
+        assert err == f"error: cannot write stdout: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("graph", "-m", "3", "-n", "2"), ("components", "-m", "3", "-n", "2")],
+        ids=lambda argv: argv[0],
+    )
+    def test_full_stdout_usage_error(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tkchar", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=self.BUFFERED,
+            )
+        self.assert_stdout_usage_error(proc.returncode, proc.stderr, "No space left on device")
+
+    def test_closed_pipe_usage_error(self):
+        # the 9.6 MB document outgrows the pipe, so the CLI is still writing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tkchar", "graph", "-m", "200", "-n", "300"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=self.BUFFERED,
+        )
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read()
+        self.assert_stdout_usage_error(proc.wait(timeout=60), err, "Broken pipe")
 
     @pytest.mark.parametrize(
         "argv",

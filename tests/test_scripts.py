@@ -46,64 +46,71 @@ def test_render_figures(tmp_path):
         assert (tmp_path / f"graph-8-12.{ext}").read_text() == render(g) + "\n"
 
 
-def test_oracle_stages():
-    proc = run_script("oracle_stages.py", "-m", "4", "-n", "6", "-N", "600", "--seed", "2")
+def run_stages(comment, *argv):
+    """The table of scripts/stages.py as {figure: [value]} for counts and
+    {figure: [seconds, per item]} for times, in printed order."""
+    proc = run_script("stages.py", *argv, "--rounds", "1")
     assert proc.returncode == 0, proc.stderr
-    comment, slow, header, *rows = proc.stdout.splitlines()
-    assert comment.startswith("# (m, n) = (4, 6), N = 600, seed 2")
-    cfg = SampleConfig(params=GroupParams(4, 6), sample_count=600, seed=2)
-    fast = stream.draws(cfg.seed, range(600), cfg.reducible_fraction, 2, count_irr(cfg.params))[0]
-    assert slow.startswith(f"# {int((~fast).sum())} of 600 indices left to numpy (")
-    assert header.split() == ["stage", "seconds", "us/sample"]
-    stages = {}
+    first, header, *rows = proc.stdout.splitlines()
+    assert first == comment
+    assert header.split() == ["figure", "value", "us/arc" if argv[0] == "graph" else "us/sample"]
+    figures = {}
     for row in rows:
-        *name, seconds, per_sample = row.split()
-        stages[" ".join(name)] = float(seconds)
-        # seconds are printed to 0.1 ms, i.e. 0.083 us per sample here
-        assert float(per_sample) == pytest.approx(1e6 * float(seconds) / 600, abs=0.1)
-    assert list(stages) == [
-        "draw loop", "replica", "slow draws", "builders", "kernel", "graph", "array tally",
-        "writer", "empirical_structure",
-    ]
-    assert all(stages[s] > 0 for s in stages if s not in ("slow draws", "array tally"))  # derived
+        figures[row[:24].rstrip()] = [float(column) for column in row[24:].split()]
+    return figures
+
+
+def check_times(figures, items, derived=()):
+    """Every time's per-item column is 1e6 * seconds / items, and every time
+    not derived as a difference is positive, as is the peak RSS."""
+    for name, (seconds, *per_item) in figures.items():
+        if per_item:
+            # seconds are printed to 0.1 ms, i.e. at most 0.18 us per item here
+            assert per_item[0] == pytest.approx(1e6 * seconds / items, abs=0.2), name
+            assert seconds > 0 or name in derived, name
+    assert figures["cli peak RSS MiB"][0] > 0
 
 
 def test_graph_stages():
-    proc = run_script("graph_stages.py", "-m", "20", "-n", "30")
-    assert proc.returncode == 0, proc.stderr
-    comment, rss, header, *rows = proc.stdout.splitlines()
-    assert comment.startswith("# (m, n) = (20, 30), 276 arcs, median of")
-    assert rss.startswith("# cli peak RSS ") and rss.endswith(" MiB")
-    assert float(rss.split()[-2]) > 0
-    assert header.split() == ["stage", "seconds", "us/arc"]
-    stages = {}
-    for row in rows:
-        *name, seconds, per_arc = row.split()
-        stages[" ".join(name)] = float(seconds)
-        # seconds are printed to 0.1 ms, i.e. 0.36 us per arc here
-        assert float(per_arc) == pytest.approx(1e6 * float(seconds) / 276, abs=0.2)
-    assert list(stages) == ["build_graph", "writer", "import tkchar.cli", "cli process"]
-    assert all(seconds > 0 for seconds in stages.values())
-
-
-def test_verify_scale():
-    proc = run_script("verify_scale.py", "-m", "12", "-n", "18", "-N", "300", "--seed", "4")
-    assert proc.returncode == 0, proc.stderr
-    comment, *rows = proc.stdout.splitlines()
-    assert comment == "# (m, n) = (12, 18), N = 300, seed 4, 94 arcs, median of 1 rounds"
-    figures = {}
-    for row in rows:
-        *name, value = row.split()
-        figures[" ".join(name)] = float(value)
+    comment = "# graph (m, n) = (20, 30), 276 arcs, median of 1 rounds"
+    figures = run_stages(comment, "graph", "-m", "20", "-n", "30")
     assert list(figures) == [
-        "empirical_structure s", "writer s", "json bytes", "cli process s", "cli exit",
+        "build_graph", "writer", "json bytes", "import tkchar.cli", "cli process",
         "cli peak RSS MiB",
     ]
-    cfg = SampleConfig(params=GroupParams(12, 18), sample_count=300, seed=4)
-    summary = empirical_structure(cfg)
-    assert figures["json bytes"] == len(summary_to_json(summary)) + 1
-    assert figures["cli exit"] == (0 if summary.ok else 1)
-    assert all(figures[name] > 0 for name in figures if name != "cli exit")
+    g = build_graph(GroupParams(20, 30))
+    assert figures["json bytes"] == [len(to_json(g)) + 1]
+    check_times(figures, 276)
+
+
+VERIFY_CFG = SampleConfig(params=GroupParams(12, 18), sample_count=300, seed=4)
+
+
+@pytest.fixture(scope="module")
+def verify_figures():
+    """One run of `stages.py verify`, shared by the stage and the CLI checks."""
+    comment = "# verify (m, n) = (12, 18), N = 300, seed 4, 94 arcs, median of 1 rounds"
+    return run_stages(comment, "verify", "-m", "12", "-n", "18", "-N", "300", "--seed", "4")
+
+
+def test_oracle_stages(verify_figures):
+    assert list(verify_figures) == [
+        "draw loop", "replica", "indices left to numpy", "slow draws", "builders", "kernel",
+        "graph", "array tally", "writer", "json bytes", "empirical_structure",
+        "import tkchar.cli", "cli process", "cli exit", "cli peak RSS MiB",
+    ]
+    cfg, p = VERIFY_CFG, VERIFY_CFG.params
+    fast = stream.draws(cfg.seed, range(300), cfg.reducible_fraction, p.d // 2 + 1, count_irr(p))[0]
+    assert verify_figures["indices left to numpy"] == [int((~fast).sum())]
+    check_times(verify_figures, 300, derived=("slow draws", "array tally"))
+
+
+def test_verify_scale(verify_figures):
+    summary = empirical_structure(VERIFY_CFG)
+    assert verify_figures["json bytes"] == [len(summary_to_json(summary)) + 1]
+    assert verify_figures["cli exit"] == [0 if summary.ok else 1]
+    assert verify_figures["cli process"][0] > 0
+    assert verify_figures["cli peak RSS MiB"][0] > 0
 
 
 @pytest.mark.parametrize("cached", ["before", "after"])
