@@ -13,10 +13,10 @@ verify mode, each stage over all verify.CHUNK-sized batches:
   from their seeded states, and the guards (derived);
 - builders: `_build_arrays` on the completed draws;
 - kernel: `_classify_arrays` on the builders' pairs;
-- graph: `build_graph`, once per run;
-- array tally: `empirical_structure` minus replica, slow draws, builders,
-  kernel and graph, i.e. the count, maximum and vote arrays and each arc
-  end's winner (derived);
+- array tally: `empirical_structure` minus replica, slow draws, builders
+  and kernel, i.e. the expected arc ends (`components.attachment_nodes`
+  over the cached label table), the count, maximum and vote arrays and
+  each arc end's winner (derived);
 - writer and json bytes (below); empirical_structure: the whole call.
 
 Both modes: writer, the document's chunks drained into a file on /dev/null
@@ -27,7 +27,8 @@ and, for verify, its exit code (1 when a flag is false, for example
 "components" when COUNT is below the component count: reported, not
 refused).  REAPER, a small intermediate interpreter, starts the CLI and
 reaps it with wait4: a child started with vfork/exec begins with its
-parent's peak RSS as its own, and this process holds the graph and numpy.
+parent's peak RSS as its own, and this process holds the graph or the
+summary, and numpy.
 
 Each round runs every stage once, in that order, so drift of the host hits
 all stages alike; the figures are medians over --rounds rounds, after one
@@ -129,9 +130,8 @@ def verify_stages(cfg: SampleConfig) -> dict[str, float]:
     t["slow draws"] = stream_s - t["replica"]
     t["builders"], pairs = timed(lambda: [_build_arrays(p, *d) for d in draws])
     t["kernel"] = timed(lambda: [_classify_arrays(p, a, b, cfg.tol) for a, b in pairs])[0]
-    t["graph"] = timed(build_graph, p)[0]
     total, summary = timed(empirical_structure, cfg)
-    staged = ("replica", "slow draws", "builders", "kernel", "graph")
+    staged = ("replica", "slow draws", "builders", "kernel")
     t["array tally"] = total - sum(t[s] for s in staged)
     t["writer"], t["json bytes"] = timed(drain, summary_chunks(summary))
     t["empirical_structure"] = total

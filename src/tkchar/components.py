@@ -11,7 +11,8 @@ attaches to the reducible locus at the two indices
     i0 = (k - k')/2 mod d,    i1 = (k + k')/2 mod d.
 
 The eigenvalue-inversion symmetries are handled once and for all by the
-fundamental domain above; the interval coordinate is never folded.
+fundamental domain above; the interval coordinate is never folded.  The
+graph and the verify oracle read arc endpoint nodes from attachment_nodes.
 """
 
 from __future__ import annotations
@@ -191,6 +192,18 @@ def attachment(p: GroupParams, k: int, kp: int) -> tuple[int, int, int, int]:
     return i0, i1, fold_index(i0, p.d), fold_index(i1, p.d)
 
 
+def fold_indices(i: np.ndarray, d: int) -> np.ndarray:
+    """fold_index over an array of raw indices in [0, d)."""
+    return np.where(2 * i > d, d - i, i)
+
+
+def attachment_nodes(p: GroupParams, k: np.ndarray, kp: np.ndarray) -> tuple[np.ndarray, ...]:
+    """attachment over arrays of admissible labels, unchecked: (raw, node)
+    of shape (len(k), 2), side 0 at (k - kp)/2 mod d, side 1 at (k + kp)/2."""
+    raw = np.stack([k - kp, k + kp], axis=1) // 2 % p.d
+    return raw, fold_indices(raw, p.d)
+
+
 def joining_component(p: GroupParams, i0: int, i1: int) -> tuple[int, int]:
     """An explicit (k, kp) whose component attaches to Red(i0) and Red(i1).
 
@@ -210,9 +223,8 @@ def self_loops(p: GroupParams) -> list[tuple[Irr, int]]:
     none at all, and when one order divides the other none occur at the
     interval components i in {0, d/2}; both facts are exercised in tests.
     """
-    loops = []
-    for comp in enumerate_irr(p):
-        i0, i1, c0, c1 = attachment(p, comp.k, comp.kp)
-        if c0 == c1:
-            loops.append((comp, c0))
-    return loops
+    k, kp = irr_labels(p)
+    _, node = attachment_nodes(p, k, kp)
+    loop = np.flatnonzero(node[:, 0] == node[:, 1])
+    ends = zip(k[loop].tolist(), kp[loop].tolist(), node[loop, 0].tolist())
+    return [(Irr(a, b), i) for a, b, i in ends]

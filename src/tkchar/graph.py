@@ -24,10 +24,10 @@ involution t ~ twist * t^-1 is c -> tau - c, with
 twist = exp(i*pi*tau/M) = alpha_i^(2u), tau = 4*a*u*i, and the smaller
 of c and tau - c mod 2M is kept.  _EndpointRule holds this formula and both
 reflections once; build_graph runs them elementwise on int64 arrays and the
-verify decoder on measured floats.  The involution invariant
-2*cos(angle(t) - angle(twist)/2) is the interval coordinate s_real; for
-circle nodes s_real is 2*cos(angle(t)) and is informational only (the
-angle itself is the coordinate).
+verify decoder on measured floats, both on components.fold_indices' nodes.
+The involution invariant 2*cos(angle(t) - angle(twist)/2) is the interval
+coordinate s_real; for circle nodes s_real is 2*cos(angle(t)) and is
+informational only (the angle itself is the coordinate).
 
 Serialization targets the "tkchar-graph/1" layout: a JSON object with
 exactly the fields params / nodes / arcs, written directly from the arrays
@@ -53,6 +53,7 @@ from .components import (
     ComponentInfo,
     GroupParams,
     Irr,
+    attachment_nodes,
     bezout_coprime,
     enumerate_red,
     irr_labels,
@@ -135,9 +136,10 @@ class IncidenceGraph:
 class _EndpointRule:
     """The endpoint formula and fold of one order (see the module
     docstring), generic over int and float c; fold_all is fold over arrays
-    (int64 c in build_graph, float64 c in the verify kernel).  paired and
-    tau are taus as per-node arrays, built once with the rule, so that
-    fold_all costs O(len(c)) and not O(d).
+    (int64 c in build_graph, float64 c in the verify kernel) given each
+    circle's node (components.fold_indices).  paired and tau are taus as
+    per-node arrays, built once with the rule, so that fold_all costs
+    O(len(c)) and not O(d).
 
     In float the involution has a branch cut at c = 0 ~ tau: points just
     either side keep representatives about tau apart, but the node and
@@ -165,14 +167,13 @@ class _EndpointRule:
             c = min(c, (tau - c) % (2 * self.big))
         return i_raw, c
 
-    def fold_all(self, i_raw: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """fold, elementwise over int64 raw circles and int64 or float64
-        numerators (np.minimum and np.mod agree with min and % on both)."""
-        mirrored = 2 * i_raw > self.d
-        node = np.where(mirrored, self.d - i_raw, i_raw)
-        c = np.where(mirrored, self.mirror - c, c) % (2 * self.big)
+    def fold_all(self, i_raw: np.ndarray, node: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """fold's canonical c, elementwise over int64 raw circles, their
+        nodes and int64 or float64 numerators (np.minimum and np.mod agree
+        with min and % on both)."""
+        c = np.where(node != i_raw, self.mirror - c, c) % (2 * self.big)
         tau = self.tau[node]
-        return node, np.where(self.paired[node], np.minimum(c, (tau - c) % (2 * self.big)), c)
+        return np.where(self.paired[node], np.minimum(c, (tau - c) % (2 * self.big)), c)
 
 
 @functools.cache
@@ -200,10 +201,9 @@ def build_graph(p: GroupParams) -> IncidenceGraph:
     """
     rule = _endpoint_rule(p)
     k, kp = irr_labels(p)
+    raw, node = attachment_nodes(p, k, kp)
     kk, s = k[:, None], np.stack([kp, -kp], axis=1)
-    h = (kk - s) // 2
-    raw = h % p.d
-    c_raw = rule.raw(kk, h) % (2 * rule.big)
+    c_raw = rule.raw(kk, (kk - s) // 2) % (2 * rule.big)
     # t = exp(i*pi*c/M) has t^b = lam iff c == k (mod 2m), and
     # t^a = alpha_raw * mu iff c == 2*raw + s (mod 2n)
     off = ((c_raw - kk) % (2 * p.m) != 0) | ((c_raw - 2 * raw - s) % (2 * p.n) != 0)
@@ -212,7 +212,7 @@ def build_graph(p: GroupParams) -> IncidenceGraph:
         raise RuntimeError(
             f"endpoint ({k[j]}/{p.m}, {s[j, side]}/{p.n}) is not on component {raw[j, side]}"
         )
-    node, c = rule.fold_all(raw, c_raw)
+    c = rule.fold_all(raw, node, c_raw)
     same = (node[:, 0] == node[:, 1]) & (c[:, 0] == c[:, 1])
     if same.any():
         j = np.argmax(same)

@@ -32,7 +32,8 @@ point and an exact graph endpoint are one canonical representative.
 
 The irreducible labels, their eigenvalue tables and the fold rule depend
 only on the orders; each is built once per (m, n), on first use, and shared
-by every sample.  The kernel reads no O(m*n) label table.
+by every sample.  The kernel reads no O(m*n) label table, and verify no
+graph: the arc ends' nodes are components.attachment_nodes of the labels.
 
 Each step exists once, over arrays.  empirical_structure runs the stream
 CHUNK samples at a time through the draws (_draw_arrays), the builders
@@ -75,12 +76,14 @@ from .components import (
     GroupParams,
     Irr,
     Red,
+    attachment_nodes,
     count_irr,
+    fold_indices,
     irr_labels,
     irr_position,
 )
 from . import graph
-from .graph import IncidenceGraph, _endpoint_rule, _json_block, _sig12, build_graph
+from .graph import _endpoint_rule, _json_block, _sig12
 from .reps import _alpha_conj, character
 from .roots import root
 from .su2 import (
@@ -465,8 +468,9 @@ def _classify_arrays(
         beta = np.copysign(alpha_b, x1 * x2 + y1 * y2 + z1 * z2)
         kf = alpha_a * p.m / math.pi
         h = np.rint((kf - beta * p.n / math.pi) / 2.0).astype(np.int64)
-        node, c = rule.fold_all(h % p.d, rule.raw(kf, h))
-        theta = math.pi * c / rule.big
+        raw = h % p.d
+        node = fold_indices(raw, p.d)
+        theta = math.pi * rule.fold_all(raw, node, rule.raw(kf, h)) / rule.big
 
         k, ambiguous_k = _labels(alpha_a, p.m, tol)
         kp, ambiguous_kp = _labels(alpha_b, p.n, tol)
@@ -589,18 +593,20 @@ def _leaders(group: np.ndarray, count: np.ndarray, first: np.ndarray) -> np.ndar
 class Summary:
     """The tally of one empirical_structure run, as arrays.
 
+    Arc j is Irr(k[j], kp[j]) with ends on node[j] (read-only arrays);
     red_counts counts the samples on each node and irr_counts those on each
-    arc of graph; max_relation and max_classification are the largest
-    residuals and decode_errors the count of refused samples.  The
-    near-limit votes are cells (vote_group, vote_node, vote_count): group
-    2*arc + side is an arc end, node the node voted for; they are sorted by
-    group, then by node as a string, the document's order.  arc_ok holds
-    whether each arc end's most-voted node, if it has votes, is its graph
-    endpoint.  summary_chunks writes its "tkchar-verify/1" document.
+    arc; max_relation and max_classification are the largest residuals and
+    decode_errors the count of refused samples.  The near-limit votes are
+    cells (vote_group, vote_node, vote_count): group 2*arc + side is an arc
+    end, node the node voted for, sorted by group, then by node as a string.
+    arc_ok holds whether each arc end's most-voted node, if it has votes, is
+    its node.  summary_chunks writes its "tkchar-verify/1" document.
     """
 
     cfg: SampleConfig
-    graph: IncidenceGraph
+    k: np.ndarray
+    kp: np.ndarray
+    node: np.ndarray
     red_counts: np.ndarray
     irr_counts: np.ndarray
     max_relation: float
@@ -629,25 +635,27 @@ class Summary:
 
 
 def empirical_structure(cfg: SampleConfig) -> Summary:
-    """Sample, classify, and compare observed structure with the exact graph.
+    """Sample, classify, and compare observed structure with the closed form.
 
     Near-limit irreducible samples (t < 0.02 or t > 0.98) vote for the
     reducible component they approach: the kernel decodes their limit
     eigenvalue pair, exact in t, as it decodes reducible pairs.  The votes
-    reconstruct the arc endpoints empirically; agreement with build_graph
-    is reported per arc.  decode_errors counts the samples whose reason is
-    not OK.
+    reconstruct the arc endpoints empirically; agreement with the closed
+    form (components.attachment_nodes) is reported per arc.  decode_errors
+    counts the samples whose reason is not OK.
 
     The samples go through the batched pipeline CHUNK at a time into array
     tallies: counts per node and per arc, running maxima and vote cells,
     with the summary a loop over sample_pair and classify would give.
     """
     p = cfg.params
-    g = build_graph(p)
+    k, kp = _irr_tables(p)[:2]
+    _, expected = attachment_nodes(p, k, kp)
+    k.flags.writeable = kp.flags.writeable = expected.flags.writeable = False
     nodes = p.d // 2 + 1
     rank = _decimal_rank(nodes)
     red_counts = np.zeros(nodes, dtype=np.int64)
-    irr_counts = np.zeros(len(g.k), dtype=np.int64)
+    irr_counts = np.zeros(len(k), dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
     votes = (empty, empty, empty)
     max_relation = max_classification = 0.0
@@ -679,11 +687,11 @@ def empirical_structure(cfg: SampleConfig) -> Summary:
     node = _decimal_order(nodes)[node]
     lead = _leaders(group, count, first)
     arc, side = np.divmod(group[lead], 2)
-    arc_ok = np.ones(len(g.k), dtype=bool)
-    arc_ok[arc[node[lead] != g.node[arc, side]]] = False
+    arc_ok = np.ones(len(k), dtype=bool)
+    arc_ok[arc[node[lead] != expected[arc, side]]] = False
     return Summary(
-        cfg, g, red_counts, irr_counts, float(max_relation), float(max_classification),
-        decode_errors, group, node, count, arc_ok,
+        cfg, k, kp, expected, red_counts, irr_counts, float(max_relation),
+        float(max_classification), decode_errors, group, node, count, arc_ok,
     )
 
 
@@ -748,8 +756,7 @@ def _lines(
 
 def _arc_lines(s: Summary, chunk: int) -> Iterator[list[str]]:
     """The adjacency entries, chunk arcs at a time."""
-    g = s.graph
-    arcs = len(g.k)
+    arcs = len(s.k)
     # the vote cells of chunk i are bounds[i]:bounds[i + 1], as they are sorted by arc
     per_chunk = np.bincount(s.vote_group // (2 * chunk), minlength=-(-arcs // chunk))
     bounds = [0, *np.cumsum(per_chunk).tolist()]
@@ -767,7 +774,7 @@ def _arc_lines(s: Summary, chunk: int) -> Iterator[list[str]]:
                 "{\n" + ",\n".join(line for _, line in run) + "\n      }"
             )
         rows = zip(
-            *(a[start:stop].tolist() for a in (g.node[:, 0], g.node[:, 1], g.k, g.kp)),
+            *(a[start:stop].tolist() for a in (s.node[:, 0], s.node[:, 1], s.k, s.kp)),
             observed[0::2],
             observed[1::2],
             map(_JSON_BOOL.__getitem__, s.arc_ok[start:stop].tolist()),
@@ -799,11 +806,11 @@ def summary_chunks(s: Summary) -> Iterator[str]:
 
 def _summary_parts(s: Summary, chunk: int) -> Iterator[str]:
     """The chunks of summary_chunks, from its checked summary."""
-    cfg, g = s.cfg, s.graph
+    cfg = s.cfg
     p = cfg.params
     # keys sort as strings: every "irr:k,kp" before every "red:i", the
     # labels as their decimals with "," below every digit
-    irr = np.lexsort((_decimal_rank(p.n)[g.kp], _decimal_rank(p.m)[g.k]))
+    irr = np.lexsort((_decimal_rank(p.n)[s.kp], _decimal_rank(p.m)[s.k]))
     red = _decimal_order(len(s.red_counts))
     nodes = np.arange(len(s.red_counts))
     yield '{\n  "adjacency": '
@@ -811,7 +818,7 @@ def _summary_parts(s: Summary, chunk: int) -> Iterator[str]:
     yield ',\n  "counts": '
     yield from _json_block(
         itertools.chain(
-            _lines('    "irr:%d,%d": %d', (g.k, g.kp, s.irr_counts), irr, chunk, s.irr_counts > 0),
+            _lines('    "irr:%d,%d": %d', (s.k, s.kp, s.irr_counts), irr, chunk, s.irr_counts > 0),
             _lines('    "red:%d": %d', (nodes, s.red_counts), red, chunk, s.red_counts > 0),
         ),
         "{}",
@@ -819,7 +826,7 @@ def _summary_parts(s: Summary, chunk: int) -> Iterator[str]:
     yield ',\n  "decode_errors": %d,\n  "expected_components": ' % s.decode_errors
     yield from _json_block(
         itertools.chain(
-            _lines('    "irr:%d,%d"', (g.k, g.kp), irr, chunk),
+            _lines('    "irr:%d,%d"', (s.k, s.kp), irr, chunk),
             _lines('    "red:%d"', (nodes,), red, chunk),
         ),
         "[]",

@@ -224,6 +224,10 @@ GOLDEN_SHA256 = {
     # multiplication
     ("verify", "-m", "2", "-n", "200", "-N", "2000", "--seed", "1"):
         "ddc2ffd56cc9fb2b7bc76f793e9eb443345b89816e9417843d96ba7ad2ee15e2",
+    # d = 100: every near-limit vote's expected node (29,751 arcs); too few
+    # samples to see every component, so verify exits 1
+    ("verify", "-m", "200", "-n", "300", "-N", "1000", "--seed", "1"):
+        (1, "a6b40a922369ae2ca6ef455b6fcbdcf96b4e9b988c5274f77085b5dd15eb2e18"),
     # the benchmark's verify_30_45 order and sample count (638 arcs)
     ("verify", "-m", "30", "-n", "45", "-N", "16000", "--seed", "1"):
         "25ac0b60e3cd678f1444f7459a56a36dc4f753f5ca553be0866b88cf23076b54",

@@ -12,6 +12,7 @@ from tkchar.components import (
     GroupParams,
     alpha_root,
     attachment,
+    attachment_nodes,
     count_irr,
     joining_component,
     self_paired,
@@ -294,11 +295,16 @@ class TestStructure:
             g.s_real[0, 0] = 0.0
 
     def test_attachment_nodes_match_component_combinatorics(self):
-        for m, n in [(4, 6), (6, 9), (8, 12), (9, 3)]:
+        # attachment_nodes is attachment over arrays, and build_graph takes
+        # its raw circles and nodes from it
+        for m, n in SWEEP:
             p = GroupParams(m, n)
-            for arc in build_graph(p).arcs:
-                _, _, c0, c1 = attachment(p, arc.component.k, arc.component.kp)
-                assert (arc.endpoints[0].node, arc.endpoints[1].node) == (c0, c1)
+            g = build_graph(p)
+            raw, node = attachment_nodes(p, g.k, g.kp)
+            labels = zip(g.k.tolist(), g.kp.tolist())
+            want = np.array([attachment(p, k, kp) for k, kp in labels]).reshape(-1, 4)
+            assert np.array_equal(raw, want[:, :2]) and np.array_equal(node, want[:, 2:]), (m, n)
+            assert np.array_equal(raw, g.raw) and np.array_equal(node, g.node), (m, n)
 
 
 class TestSerialization:

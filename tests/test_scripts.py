@@ -96,7 +96,7 @@ def verify_figures():
 def test_oracle_stages(verify_figures):
     assert list(verify_figures) == [
         "draw loop", "replica", "indices left to numpy", "slow draws", "builders", "kernel",
-        "graph", "array tally", "writer", "json bytes", "empirical_structure",
+        "array tally", "writer", "json bytes", "empirical_structure",
         "import tkchar.cli", "cli process", "cli exit", "cli peak RSS MiB",
     ]
     cfg, p = VERIFY_CFG, VERIFY_CFG.params

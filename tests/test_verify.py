@@ -805,10 +805,9 @@ class TestSummaryWriter:
         s = empirical_structure(cfg)
         want = reference_summary(cfg)
         # the tally itself, its maxima unrounded
-        g = s.graph
         counts = {doc_key(Red(i)): c for i, c in enumerate(s.red_counts.tolist()) if c} | {
             doc_key(Irr(k, kp)): c
-            for k, kp, c in zip(g.k.tolist(), g.kp.tolist(), s.irr_counts.tolist())
+            for k, kp, c in zip(s.k.tolist(), s.kp.tolist(), s.irr_counts.tolist())
             if c
         }
         assert counts == want["counts"]
@@ -822,7 +821,34 @@ class TestSummaryWriter:
             chunks = list(summary_chunks(s))
             assert "".join(chunks) == text, chunk
             # the adjacency and expected_components lists each break at every chunk arcs
-            assert len(chunks) >= 2 * -(-len(g.k) // chunk)
+            assert len(chunks) >= 2 * -(-len(s.k) // chunk)
+
+    def test_reads_no_graph(self, monkeypatch):
+        # the expected arc ends are the closed form over the label table, so
+        # empirical_structure runs with build_graph refused, and its first
+        # call at an order holds a few arrays per arc, not the exact graph
+        import tracemalloc
+
+        cfg = SampleConfig(GroupParams(40, 60), 1500, 3)
+        want = reference_json(reference_summary(cfg))
+
+        def refused(p):
+            raise AssertionError("verify builds no incidence graph")
+
+        monkeypatch.setattr(tkchar.graph, "build_graph", refused)
+        monkeypatch.setattr(tkchar.verify, "build_graph", refused, raising=False)
+        s = empirical_structure(cfg)
+        assert summary_to_json(s) == want
+        assert not any(a.flags.writeable for a in (s.k, s.kp, s.node))
+        p = GroupParams(400, 399)
+        tkchar.verify._irr_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            empirical_structure(SampleConfig(p, 100, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * count_irr(p), peak / count_irr(p)
 
     def test_int_floats_stay_ints(self):
         # an int fraction is written as json.dumps writes it
