@@ -12,7 +12,8 @@ attaches to the reducible locus at the two indices
 
 The eigenvalue-inversion symmetries are handled once and for all by the
 fundamental domain above; the interval coordinate is never folded.  The
-graph and the verify oracle read arc endpoint nodes from attachment_nodes.
+graph and the verify decoder fold endpoints in graph._EndpointRule.ends;
+verify's expected nodes and self_loops are attachment_nodes.
 """
 
 from __future__ import annotations

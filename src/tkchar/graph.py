@@ -22,9 +22,9 @@ d/2, the mirrored character (lam^-1, mu^-1) on component d - i is
 c -> 2*a*u*d - c.  On self-paired components (i == -i mod d) the
 involution t ~ twist * t^-1 is c -> tau - c, with
 twist = exp(i*pi*tau/M) = alpha_i^(2u), tau = 4*a*u*i, and the smaller
-of c and tau - c mod 2M is kept.  _EndpointRule holds this formula and both
-reflections once; build_graph runs them elementwise on int64 arrays and the
-verify decoder on measured floats, both on components.fold_indices' nodes.
+of c and tau - c mod 2M is kept.  _EndpointRule holds this formula, both
+reflections and each node's twist once; build_graph (on int64) and the verify
+decoder (on measured floats) each make one call of its array method ends.
 The involution invariant 2*cos(angle(t) - angle(twist)/2) is the interval
 coordinate s_real; for circle nodes s_real is 2*cos(angle(t)) and is
 informational only (the angle itself is the coordinate).
@@ -53,9 +53,10 @@ from .components import (
     ComponentInfo,
     GroupParams,
     Irr,
-    attachment_nodes,
     bezout_coprime,
     enumerate_red,
+    fold_index,
+    fold_indices,
     irr_labels,
     self_paired,
 )
@@ -135,62 +136,60 @@ class IncidenceGraph:
 @dataclass(frozen=True, slots=True, eq=False)
 class _EndpointRule:
     """The endpoint formula and fold of one order (see the module
-    docstring), generic over int and float c; fold_all is fold over arrays
-    (int64 c in build_graph, float64 c in the verify kernel) given each
-    circle's node (components.fold_indices).  paired and tau are taus as
-    per-node arrays, built once with the rule, so that fold_all costs
-    O(len(c)) and not O(d).
+    docstring).  ends runs both over arrays, int64 in build_graph and
+    float64 k in the verify kernel; fold is its scalar reference, generic
+    over int and float c.  paired, tau and psi hold each node's twist once,
+    built with the rule, so that ends costs O(len(h)) and not O(d).
 
     In float the involution has a branch cut at c = 0 ~ tau: points just
     either side keep representatives about tau apart, but the node and
-    2*cos(pi*c/M - angle(twist)/2) agree.
+    2*cos(pi*c/M - psi) agree.
     """
 
     d: int
     big: int  # M
     mirror: int  # 2*a*u*d
-    taus: tuple[int | None, ...]  # per node: tau if self-paired
-    paired: np.ndarray  # per node: tau is not None
-    tau: np.ndarray  # per node: tau, or 0
+    paired: np.ndarray  # per node: self-paired
+    tau: np.ndarray  # per node: tau = 4*a*u*i if self-paired, else 0
+    psi: np.ndarray  # per node: angle(twist)/2 if self-paired, else 0.0
 
-    def raw(self, k, h):
-        """c = k - 2*a*u*(h - i) on raw circle i = h mod d."""
-        return k - self.mirror * (h // self.d)
+    def ends(self, k, h) -> tuple[np.ndarray, ...]:
+        """(raw, node, c_raw, c) of endpoints h = (k - s)/2, elementwise: raw
+        circle h mod d, its node, unreduced c_raw = k - 2*a*u*(h - raw) and
+        canonical c, by fold's operations in its order, bit for bit on float k."""
+        raw = h % self.d
+        node = fold_indices(raw, self.d)
+        c_raw = k - self.mirror * (h // self.d)
+        c = np.where(node != raw, self.mirror - c_raw, c_raw) % (2 * self.big)
+        tau = self.tau[node]
+        c = np.where(self.paired[node], np.minimum(c, (tau - c) % (2 * self.big)), c)
+        return raw, node, c_raw, c
 
     def fold(self, i_raw: int, c):
-        """(node, canonical c) of exp(i*pi*c/M) on raw circle i_raw."""
-        if 2 * i_raw > self.d:
-            i_raw, c = self.d - i_raw, self.mirror - c
-        c %= 2 * self.big
-        tau = self.taus[i_raw]
-        if tau is not None:
-            c = min(c, (tau - c) % (2 * self.big))
-        return i_raw, c
-
-    def fold_all(self, i_raw: np.ndarray, node: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """fold's canonical c, elementwise over int64 raw circles, their
-        nodes and int64 or float64 numerators (np.minimum and np.mod agree
-        with min and % on both)."""
-        c = np.where(node != i_raw, self.mirror - c, c) % (2 * self.big)
-        tau = self.tau[node]
-        return np.where(self.paired[node], np.minimum(c, (tau - c) % (2 * self.big)), c)
+        """(node, canonical c) of exp(i*pi*c/M) on raw circle i_raw in [0, d)."""
+        node = fold_index(i_raw, self.d)
+        c = (c if node == i_raw else self.mirror - c) % (2 * self.big)
+        if self.paired[node]:
+            c = min(c, (int(self.tau[node]) - c) % (2 * self.big))
+        return node, c
 
 
 @functools.cache
 def _endpoint_rule(p: GroupParams) -> _EndpointRule:
     u, _ = bezout_coprime(p.a, p.b)
-    taus = tuple(4 * p.a * u * i if self_paired(i, p.d) else None for i in range(p.d // 2 + 1))
-    paired = np.array([tau is not None for tau in taus])
-    tau = np.array([tau or 0 for tau in taus])
-    return _EndpointRule(p.d, p.d * p.a * p.b, 2 * p.a * u * p.d, taus, paired, tau)
+    big, i = p.d * p.a * p.b, np.arange(p.d // 2 + 1)
+    paired = self_paired(i, p.d)
+    tau = np.where(paired, 4 * p.a * u * i, 0)
+    psi = np.array([RootOfUnity(t, big).angle / 2.0 for t in tau.tolist()])
+    return _EndpointRule(p.d, big, 2 * p.a * u * p.d, paired, tau, psi)
 
 
 def involution_twist(p: GroupParams, i: int) -> RootOfUnity:
     """Constant c of the involution t ~ c * t^-1 on self-paired component i."""
-    if not self_paired(i, p.d):
-        raise ValueError(f"component {i} is not self-paired for d={p.d}")
+    if not (0 <= i <= p.d // 2 and self_paired(i, p.d)):
+        raise ValueError(f"component {i} is not a self-paired node in [0, {p.d // 2}], d={p.d}")
     rule = _endpoint_rule(p)
-    return RootOfUnity(rule.taus[i], rule.big)
+    return RootOfUnity(int(rule.tau[i]), rule.big)
 
 
 def build_graph(p: GroupParams) -> IncidenceGraph:
@@ -201,9 +200,9 @@ def build_graph(p: GroupParams) -> IncidenceGraph:
     """
     rule = _endpoint_rule(p)
     k, kp = irr_labels(p)
-    raw, node = attachment_nodes(p, k, kp)
     kk, s = k[:, None], np.stack([kp, -kp], axis=1)
-    c_raw = rule.raw(kk, (kk - s) // 2) % (2 * rule.big)
+    raw, node, c_raw, c = rule.ends(kk, (kk - s) // 2)
+    c_raw %= 2 * rule.big
     # t = exp(i*pi*c/M) has t^b = lam iff c == k (mod 2m), and
     # t^a = alpha_raw * mu iff c == 2*raw + s (mod 2n)
     off = ((c_raw - kk) % (2 * p.m) != 0) | ((c_raw - 2 * raw - s) % (2 * p.n) != 0)
@@ -212,7 +211,6 @@ def build_graph(p: GroupParams) -> IncidenceGraph:
         raise RuntimeError(
             f"endpoint ({k[j]}/{p.m}, {s[j, side]}/{p.n}) is not on component {raw[j, side]}"
         )
-    c = rule.fold_all(raw, node, c_raw)
     same = (node[:, 0] == node[:, 1]) & (c[:, 0] == c[:, 1])
     if same.any():
         j = np.argmax(same)
@@ -223,10 +221,7 @@ def build_graph(p: GroupParams) -> IncidenceGraph:
     num, den = c // g, rule.big // g
     # RootOfUnity(num, den).angle's operations in its order, then math.cos
     # per element, so s_real is bit-identical to the scalar definition
-    psi = np.array(
-        [0.0 if tau is None else RootOfUnity(tau, rule.big).angle / 2.0 for tau in rule.taus]
-    )
-    x = np.pi * num / den - psi[node]
+    x = np.pi * num / den - rule.psi[node]
     s_real = 2.0 * np.fromiter(map(math.cos, x.ravel().tolist()), float, x.size).reshape(x.shape)
     arrays = (k, kp, raw, c_raw, node, num, den, s_real)
     for a in arrays:

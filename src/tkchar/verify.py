@@ -27,8 +27,8 @@ generator: parallel axes separate reducible from irreducible, the angles
 pin the eigenvalue exponents k = alpha*m/pi, the chord between the unit
 axes recovers t, and for reducible pairs (and near-limit irreducible ones)
 the eigenvalue angles on a's eigenline go through build_graph's endpoint
-formula and fold rule in float (graph._EndpointRule), so a decoded reducible
-point and an exact graph endpoint are one canonical representative.
+formula and fold rule in float (graph._EndpointRule.ends), so a decoded
+reducible point and an exact graph endpoint are one canonical representative.
 
 The irreducible labels, their eigenvalue tables and the fold rule depend
 only on the orders; each is built once per (m, n), on first use, and shared
@@ -78,7 +78,6 @@ from .components import (
     Red,
     attachment_nodes,
     count_irr,
-    fold_indices,
     irr_labels,
     irr_position,
 )
@@ -462,15 +461,14 @@ def _classify_arrays(
         # the eigenvalue pair (alpha_a, +-alpha_b) on a's eigenline through
         # the fold rule: the common eigenline of a reducible pair, or the
         # limit an irreducible one reaches as b's axis turns onto a's (t -> 0)
-        # or against it (t -> 1), exact in t.  c = raw(k, h) on raw circle
-        # h mod d, h = round((k - s)/2), carries the float noise of k alone.
+        # or against it (t -> 1), exact in t.  The endpoint c of
+        # rule.ends(k, h), h = round((k - s)/2), carries the float noise of k alone.
         rule = _endpoint_rule(p)
         beta = np.copysign(alpha_b, x1 * x2 + y1 * y2 + z1 * z2)
         kf = alpha_a * p.m / math.pi
         h = np.rint((kf - beta * p.n / math.pi) / 2.0).astype(np.int64)
-        raw = h % p.d
-        node = fold_indices(raw, p.d)
-        theta = math.pi * rule.fold_all(raw, node, rule.raw(kf, h)) / rule.big
+        _, node, _, c = rule.ends(kf, h)
+        theta = math.pi * c / rule.big
 
         k, ambiguous_k = _labels(alpha_a, p.m, tol)
         kp, ambiguous_kp = _labels(alpha_b, p.n, tol)

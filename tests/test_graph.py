@@ -215,6 +215,13 @@ class TestExactness:
         assert involution_twist(p, 0) == ONE
         with pytest.raises(ValueError):
             involution_twist(p, 1)
+        # (12, 18): d = 6, nodes 0..3; 6 and -3 are self-paired mod 6 but no
+        # node, and -3 must not index a per-node array from its end
+        p = GroupParams(12, 18)
+        assert (involution_twist(p, 0), involution_twist(p, 3)) == (ONE, RootOfUnity(4, 3))
+        for i in (6, -3):
+            with pytest.raises(ValueError, match=r"in \[0, 3\]"):
+                involution_twist(p, i)
 
 
 class TestStructure:
@@ -295,8 +302,8 @@ class TestStructure:
             g.s_real[0, 0] = 0.0
 
     def test_attachment_nodes_match_component_combinatorics(self):
-        # attachment_nodes is attachment over arrays, and build_graph takes
-        # its raw circles and nodes from it
+        # attachment_nodes is attachment over arrays, and agrees with the raw
+        # circles and nodes build_graph takes from _EndpointRule.ends
         for m, n in SWEEP:
             p = GroupParams(m, n)
             g = build_graph(p)

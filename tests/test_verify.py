@@ -20,6 +20,7 @@ from tkchar.components import (
     count_irr,
     enumerate_irr,
     enumerate_red,
+    fold_indices,
     irr_labels,
     irr_position,
 )
@@ -308,13 +309,39 @@ class TestCanonicalRedAngle:
                     assert (node, c_int) == (ep.node, c_can)
                     assert rule.fold(ep.raw_index, float(c)) == (node, float(c_int))
 
+    def test_ends_on_float_k_match_scalar_fold(self):
+        # the decoder's one call, _EndpointRule.ends on float64 k, is fold on
+        # the unreduced k - mirror*(h // d) bit for bit: k near integers, h
+        # negative, at least d and on mirrored circles, and c either side of
+        # the involution's cut at 0 ~ tau.  Reducing c_raw mod 2M before the
+        # mirror rounds differently on mirrored circles far from h in [0, d).
+        for m, n in [(12, 18), (8, 12), (4, 6), (300, 450)]:
+            p = GroupParams(m, n)
+            rule = _endpoint_rule(p)
+            hs = np.arange(-3 * p.d - 1, 4 * p.d + 2)
+            near = [k + e for k in (0, 1, m // 2, m - 1) for e in (0.0, 3e-13, -7e-10, 0.499)]
+            kf, h = (x.ravel() for x in np.meshgrid(near, hs))
+            # c_raw, or its mirror, at 0 and tau plus or minus 1e-9
+            raw = hs % p.d
+            node = fold_indices(raw, p.d)
+            q = rule.mirror * (hs // p.d)
+            for target in (0, rule.tau[node]):
+                for e in (-1e-9, 1e-9):
+                    c = np.where(node != raw, rule.mirror - target, target) + e
+                    kf, h = np.concatenate([kf, c + q]), np.concatenate([h, hs])
+            assert set(node.tolist()) == set(range(p.d // 2 + 1)), (m, n)
+            got = zip(*(x.tolist() for x in rule.ends(kf, h)[1::2]))
+            for k, i, (node_a, c_a) in zip(kf.tolist(), h.tolist(), got):
+                node_s, c_s = rule.fold(i % p.d, k - rule.mirror * (i // p.d))
+                assert (node_a, c_a.hex()) == (node_s, c_s.hex()), ((m, n), k, i)
+
     def test_float_branch_cut(self):
         # Red(1) of (4,6): tau = 16 over M = 12, so the involution's cut is at
         # c = 0 ~ 16.  Points just either side keep representatives about tau
         # apart but the same node and interval coordinate 2cos(theta - psi).
         p = GroupParams(4, 6)
         rule = _endpoint_rule(p)
-        assert (rule.big, rule.taus[1]) == (12, 16)
+        assert (rule.big, rule.tau[1]) == (12, 16)
         psi = involution_twist(p, 1).angle / 2.0
         (node_lo, th_lo), (node_hi, th_hi) = (
             canonical_red_angle(p, 1, math.pi * c / rule.big) for c in (-1e-9, 1e-9)
