@@ -5,12 +5,12 @@ the writer and json bytes (below).
 
 verify mode, each stage over all verify.CHUNK-sized batches:
 
-- draw loop: the scalar stream, `_draw` once per index (the reference
-  the batched stream replaces);
-- replica: `stream.draws`, the uint64 array replica of the stream, and
+- draw loop: the scalar stream, `stream.draw` once per index (the
+  reference the batched stream replaces);
+- replica: `stream.replica`, the uint64 array replica of the stream, and
   the count of indices it leaves to numpy;
-- slow draws: `_draw_arrays` minus the replica, i.e. those indices drawn
-  from their seeded states, and the guards (derived);
+- slow draws: the finished `stream.draws` minus the replica, i.e. those
+  indices drawn from their seeded states, and the guards (derived);
 - builders: `_build_arrays` on the completed draws;
 - kernel: `_classify_arrays` on the builders' pairs;
 - array tally: `empirical_structure` minus replica, slow draws, builders
@@ -61,8 +61,7 @@ from tkchar.verify import (
     SampleConfig,
     _build_arrays,
     _classify_arrays,
-    _draw,
-    _draw_arrays,
+    _stream_args,
     empirical_structure,
     summary_chunks,
 )
@@ -122,11 +121,11 @@ def graph_stages(p: GroupParams) -> dict[str, float]:
 def verify_stages(cfg: SampleConfig) -> dict[str, float]:
     p, count = cfg.params, cfg.sample_count
     chunks = [range(s, min(s + CHUNK, count)) for s in range(0, count, CHUNK)]
-    args = (cfg.reducible_fraction, p.d // 2 + 1, count_irr(p))
-    t = {"draw loop": timed(lambda: [_draw(cfg, i) for i in range(count)])[0]}
-    t["replica"], replicas = timed(lambda: [stream.draws(cfg.seed, c, *args) for c in chunks])
+    seed, args = cfg.seed, _stream_args(cfg)
+    t = {"draw loop": timed(lambda: [stream.draw(seed, i, *args) for i in range(count)])[0]}
+    t["replica"], replicas = timed(lambda: [stream.replica(seed, c, *args) for c in chunks])
     t["indices left to numpy"] = sum(int((~r[0]).sum()) for r in replicas)
-    stream_s, draws = timed(lambda: [_draw_arrays(cfg, c) for c in chunks])
+    stream_s, draws = timed(lambda: [stream.draws(seed, c, *args) for c in chunks])
     t["slow draws"] = stream_s - t["replica"]
     t["builders"], pairs = timed(lambda: [_build_arrays(p, *d) for d in draws])
     t["kernel"] = timed(lambda: [_classify_arrays(p, a, b, cfg.tol) for a, b in pairs])[0]

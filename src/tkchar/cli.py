@@ -2,12 +2,14 @@
 
 Subcommands: components (enumerate with topology labels), graph (JSON, DOT
 or SVG serialization of the incidence graph), rep (build explicit matrices
-and print characters), verify (run the sampling oracle and report).
+and print characters), verify (run the sampling oracle and report, for a
+seed in [0, 2**64) and at most 2**32 irreducible components).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
 an -o path or a stdout that cannot be written, such as a closed pipe or a
-full disk).  The environment variable TKCHAR_TOL overrides the global
-numerical tolerance; it must be a finite number > 0.
+full disk, and an order too large for memory).  The environment variable
+TKCHAR_TOL overrides the global numerical tolerance; it must be a finite
+number > 0.
 All randomness is seeded; every subcommand is byte-deterministic given its
 flags.
 """
@@ -184,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the sampling oracle and print the JSON summary")
     add_common(sp)
     sp.add_argument("-N", "--samples", type=int, default=1000, help="number of samples")
-    sp.add_argument("--seed", type=int, default=0, help="stream seed")
+    sp.add_argument("--seed", type=int, default=0, help="stream seed in [0, 2**64)")
     sp.add_argument("--fraction", type=float, default=0.25, help="reducible sampling fraction")
     sp.set_defaults(func=cmd_verify)
 
@@ -206,8 +208,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args, tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        # an order too large for memory is a usage error, not a failed check
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

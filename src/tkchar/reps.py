@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .components import GroupParams, _check_irr_label, alpha_root
 from .roots import root
 from .su2 import (
-    DEFAULT_TOL,
     DegenerateError,
     UnitaryMatrix,
     eigen_decompose,
@@ -140,15 +139,15 @@ def build_red_noncoprime(p: GroupParams, i: int, t: complex) -> tuple[UnitaryMat
     return UnitaryMatrix(lam, 0.0j), UnitaryMatrix(mu, 0.0j)
 
 
-def cross_ratio_of_pair(a: UnitaryMatrix, b: UnitaryMatrix, tol: float = DEFAULT_TOL) -> float:
+def cross_ratio_of_pair(a: UnitaryMatrix, b: UnitaryMatrix) -> float:
     """Cross-ratio of the eigenvector quadruple (e1, e2, f1, f2) of the pair.
 
     Real and negative for irreducible SU(2) pairs; reducible pairs share an
     eigenvector and are refused as degenerate.
     """
-    if is_reducible_pair(a, b, tol):
+    if is_reducible_pair(a, b):
         raise DegenerateError("reducible pair: eigenvector quadruple is degenerate")
-    _, e1, e2 = eigen_decompose(a, tol)
-    _, f1, f2 = eigen_decompose(b, tol)
-    r = cross_ratio(e1, e2, f1, f2, tol)
+    _, e1, e2 = eigen_decompose(a)
+    _, f1, f2 = eigen_decompose(b)
+    r = cross_ratio(e1, e2, f1, f2)
     return r.real

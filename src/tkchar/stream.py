@@ -1,10 +1,11 @@
-"""numpy's default_rng((seed, index)) draws for a range of indices, as arrays.
+"""The oracle's sample stream: numpy's default_rng((seed, index)) draws.
 
-verify._draw defines the oracle's stream: for each sample index a fresh
+draw() defines the stream: for each sample index a fresh
 np.random.default_rng((seed, index)) makes the calls random(),
-integers(0, K), random() and normal(size=4).  Building one Generator per
-index costs about 22 us.  draws() computes the same numbers for a whole
-range of indices with uint64 array arithmetic, in four pieces:
+integers(0, K), random() and normal(size=4) (_calls).  Building one
+Generator per index costs about 22 us.  draws() gives the same numbers for
+a whole range of indices as arrays.  Its replica computes them with uint64
+array arithmetic, in four pieces:
 
 - SeedSequence: the entropy words of (seed, index) hashed into a pool of
   four 32-bit words, expanded by generate_state(4, np.uint64);
@@ -20,14 +21,15 @@ range of indices with uint64 array arithmetic, in four pieces:
 
 Only the common path of each routine is computed.  An index whose draw
 leaves it (a Lemire threshold test, a ziggurat wedge or tail, about 6% of
-indices) is marked slow.  draws() also returns every index's seeded
-PCG64 state, and verify draws the slow indices with numpy's own Generator
-loaded with it (pcg64_state), about 10 us against 30 us for a fresh
-default_rng.  Indices past 2**32 and ranges K past 2**32 are not seeded
-here; verify builds default_rng for those.  verify checks the first fast
-and the first slow index of every block of 512 against default_rng, so a
-numpy release that changed the stream or its seeding makes verify raise
-instead of moving a byte.
+indices) is marked slow, and draws() makes its calls on one numpy
+Generator loaded with the PCG64 state the replica seeded for it, about
+10 us against 30 us for a fresh default_rng.  The replica covers seeds
+below SEEDS = 2**64 and K up to K_MAX = 2**32, which verify.SampleConfig
+enforces: past them numpy hashes more entropy words or draws integers(0, K)
+on its 64-bit path.  In every block of GUARD indices draws() draws the
+first fast and the first slow index again with draw(), so a numpy release
+that changed the stream or its seeding makes it raise instead of moving a
+byte.
 """
 
 from __future__ import annotations
@@ -35,6 +37,15 @@ from __future__ import annotations
 import numpy as np
 
 MASK32 = 0xFFFFFFFF
+
+# the seeds and the K of integers(0, K) that the replica covers
+SEEDS = 1 << 64
+K_MAX = 1 << 32
+
+# Indices per block of the guard: in every block of GUARD indices (from
+# index 0), the first index the replica draws and the first it leaves to a
+# seeded Generator are drawn again by draw() and must agree.
+GUARD = 512
 
 # numpy/random/bit_generator.pyx: SeedSequence's hash constants
 _POOL_SIZE = 4
@@ -198,15 +209,6 @@ _WI = np.array(
 )
 
 
-def _words(value: int) -> list[int]:
-    """SeedSequence's uint32 entropy words of a non-negative int, lowest first."""
-    words = [value & MASK32]
-    while value > MASK32:
-        value >>= 32
-        words.append(value & MASK32)
-    return words
-
-
 def _hash_constants(init: int, mult: int):
     """The (xor, multiplier) pair of each successive SeedSequence hash."""
     while True:
@@ -228,17 +230,15 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _state_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
     """SeedSequence(entropy).generate_state(4, np.uint64) as eight uint32
-    words, the low half of each uint64 first."""
+    words, the low half of each uint64 first, for at most four entropy
+    words: the pool is the words padded with zeros."""
     constants = _hash_constants(_INIT_A, _MULT_A)
     padded = entropy + [np.zeros_like(entropy[0])] * (_POOL_SIZE - len(entropy))
-    pool = [_hashmix(word, constants) for word in padded[:_POOL_SIZE]]
+    pool = [_hashmix(word, constants) for word in padded]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
     constants = _hash_constants(_INIT_B, _MULT_B)
     return [_hashmix(pool[i % _POOL_SIZE], constants) for i in range(8)]
 
@@ -281,35 +281,32 @@ def _double(raw: np.ndarray) -> np.ndarray:
 
 def _seeded(seed: int, indices: range) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """PCG64's (state, inc) as 32-bit limbs, seeded from SeedSequence((seed,
-    index)) for every index: state 0, a step, the seed added, a step."""
+    index)) for every index: state 0, a step, the seed added, a step.
+
+    SeedSequence takes an int as its uint32 words, lowest first.  A seed
+    below 2**64 is one or two words, and the index is always two here, so
+    the pool holds at most four words, and a zero high word hashes as the
+    zero padding of a one-word index does."""
     index = np.arange(indices.start, indices.stop, dtype=np.uint64)
-    entropy = [np.full(len(indices), w, dtype=np.uint64) for w in _words(seed)] + [index]
-    w = _state_words(entropy)
+    words = [seed & MASK32, seed >> 32] if seed > MASK32 else [seed]
+    words = [np.full(len(indices), w, dtype=np.uint64) for w in words]
+    w = _state_words(words + [index & MASK32, index >> 32])
     inc = _carry([2 * w[6] + 1, 2 * w[7], 2 * w[4], 2 * w[5]])
     return _step(_carry([x + y for x, y in zip(inc, (w[2], w[3], w[0], w[1]))]), inc), inc
 
 
-def draws(
+def replica(
     seed: int, indices: range, fraction: float, k_red: int, k_irr: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """(fast, reducible, j, u, g, seeded): verify._draw's stream for every index of
-    indices (a range of step 1), as arrays, with k_red = K of integers(0, K)
-    on the reducible branch and k_irr on the irreducible one.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(fast, reducible, j, u, g, seeded): draw()'s stream for every index of
+    indices (a range of step 1), as uint64 array arithmetic alone.
 
     fast marks the indices whose draws stayed on the common path of every
     routine; the values of the others are meaningless.  g has one row of
     four Gaussians per index.  seeded holds each index's PCG64 state right
     after seeding, one row (state low, state high, inc low, inc high) of
-    64-bit words per index, which pcg64_state turns into numpy's state
-    dict; it is None where the replica cannot seed the indices.
+    64-bit words per index, which _generator_draws loads.
     """
-    size = len(indices)
-    if indices.stop > MASK32 + 1 or max(k_red, k_irr) > MASK32:
-        # more entropy words per index, or numpy's 64-bit bounded integers
-        fast = np.zeros(size, dtype=bool)
-        zeros = np.zeros(size)
-        return fast, fast.copy(), zeros.astype(np.int64), zeros, np.zeros((size, 4)), None
-
     # every draw takes the output of one more step from the seeded state
     state, inc = _seeded(seed, indices)
     limbs = [*state, *inc]
@@ -328,7 +325,7 @@ def draws(
     j = np.where(has_j, m >> 32, 0).astype(np.int64)
     u = _double(np.where(has_j, raw[2], raw[1]))
     # normal(): 8 bits of layer, a sign bit and 52 bits of magnitude
-    g = np.empty((size, 4))
+    g = np.empty((len(indices), 4))
     for q in range(4):
         r = np.where(has_j, raw[3 + q], raw[2 + q])
         layer = (r & 0xFF).astype(np.intp)
@@ -339,14 +336,70 @@ def draws(
     return fast, reducible, j, u, g, seeded
 
 
-def pcg64_state(words: list[int]) -> dict:
-    """numpy's PCG64 state dict of one row of draws()'s seeded words, as
-    Python ints: a Generator on it makes the index's draws, as
-    default_rng((seed, index)) does."""
-    state_lo, state_hi, inc_lo, inc_hi = words
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _calls(
+    rng: np.random.Generator, fraction: float, k_red: int, k_irr: int
+) -> tuple[bool, int, float, np.ndarray]:
+    """One draw (reducible, j, u, g) from rng: the Generator calls, in their
+    order, that define every sample.
+
+    j is the raw reducible circle (K = k_red) or the index into
+    enumerate_irr (K = k_irr), u the uniform that becomes the circle angle
+    2*pi*u or the coordinate t, and g the four Gaussians of the Haar
+    conjugator.
+    """
+    reducible = rng.random() < fraction
+    j = int(rng.integers(0, k_red if reducible else k_irr))
+    return reducible, j, rng.random(), rng.normal(size=4)
+
+
+def draw(
+    seed: int, index: int, fraction: float, k_red: int, k_irr: int
+) -> tuple[bool, int, float, np.ndarray]:
+    """The index-th draw of the stream: _calls on default_rng((seed, index))."""
+    return _calls(np.random.default_rng((seed, index)), fraction, k_red, k_irr)
+
+
+def _generator_draws(seeded: np.ndarray, *args) -> list[tuple[bool, int, float, np.ndarray]]:
+    """_calls(rng, *args) on one Generator loaded with each row of the
+    replica's seeded states in turn: each row's index's draw, as
+    default_rng((seed, index)) makes it."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = rng.bit_generator.state  # a fresh one: no buffered uint32
+    drawn = []
+    for state_lo, state_hi, inc_lo, inc_hi in seeded.tolist():
+        state["state"] = {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
+        rng.bit_generator.state = state
+        drawn.append(_calls(rng, *args))
+    return drawn
+
+
+def _bits(reducible, j, u, g) -> tuple[bool, int, bytes]:
+    """One index's draw with its floats as IEEE bytes, so -0.0 != 0.0."""
+    return bool(reducible), int(j), np.append(u, g).tobytes()
+
+
+def draws(
+    seed: int, indices: range, fraction: float, k_red: int, k_irr: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """draw(seed, i, fraction, k_red, k_irr) for every i in indices (a range
+    of step 1), as arrays (reducible, j, u, g), g one row per index.
+
+    The replica computes them; an index it leaves to numpy is drawn by
+    _generator_draws from its seeded state.  In each GUARD block the first
+    index of either kind is drawn again by draw() and must agree bit for
+    bit, else RuntimeError.
+    """
+    args = (fraction, k_red, k_irr)
+    fast, *arrays, seeded = replica(seed, indices, *args)
+    slow = np.flatnonzero(~fast)
+    for column, values in zip(arrays, zip(*_generator_draws(seeded[slow], *args))):
+        column[slow] = values
+    # the first position of each (GUARD block, fast) key: the guarded indices
+    key = (indices.start + np.arange(len(indices))) // GUARD * 2 + fast
+    for pos in np.unique(key, return_index=True)[1].tolist():
+        if _bits(*draw(seed, indices[pos], *args)) != _bits(*(c[pos] for c in arrays)):
+            raise RuntimeError(
+                f"tkchar.stream differs from numpy's default_rng((seed, index)) at "
+                f"({seed}, {indices[pos]}); numpy {np.__version__} changed its stream"
+            )
+    return tuple(arrays)

@@ -263,7 +263,6 @@ def cross_ratio(
     p2: ProjectivePoint,
     p3: ProjectivePoint,
     p4: ProjectivePoint,
-    tol: float = DEFAULT_TOL,
 ) -> complex:
     """Cross-ratio of four pairwise distinct projective points.
 
@@ -275,7 +274,7 @@ def cross_ratio(
     pts = (p1, p2, p3, p4)
     for i in range(4):
         for j in range(i + 1, 4):
-            if proj_gap(pts[i], pts[j]) <= tol:
+            if proj_gap(pts[i], pts[j]) <= DEFAULT_TOL:
                 raise DegenerateError(f"points {i + 1} and {j + 1} coincide projectively")
 
     def d(p: ProjectivePoint, q: ProjectivePoint) -> complex:

@@ -9,17 +9,11 @@ an option since the solution set has measure zero in SU(2) x SU(2).
 Randomness is reproducible and order-independent: each sample index gets
 its own generator seeded by the pair (seed, index), so the stream for a
 given sample never depends on how many other samples were drawn, by whom,
-or in which thread.  _calls makes a generator's calls, in order, and
-_draw makes them on that index's generator; together they are the one
-definition of the stream.  The batched path computes the same numbers for
-a chunk of indices at once with tkchar.stream, an array replica of numpy's
-SeedSequence, PCG64, bounded integers and ziggurat normals that covers
-their common path.  An index whose draw leaves it (about 6% of them) gets
-_calls on one Generator loaded with the PCG64 state the replica seeded
-for it, so no generator is built per index.  In every block of GUARD
-indices, the first index of each kind is drawn again by _draw itself: if
-one differs by a bit, verify raises RuntimeError rather than emit a
-different stream.
+or in which thread.  tkchar.stream is the one definition of that stream:
+stream.draw makes one index's draw and stream.draws a range's, finished
+and checked.  verify only maps a SampleConfig to their arguments
+(_stream_args); SampleConfig refuses the seeds and orders the stream does
+not cover.
 
 Classification inverts the construction from the matrices alone, reading
 every decision from the polar form (half-angle alpha, axis v) of each
@@ -36,7 +30,7 @@ by every sample.  The kernel reads no O(m*n) label table, and verify no
 graph: the arc ends' nodes are components.attachment_nodes of the labels.
 
 Each step exists once, over arrays.  empirical_structure runs the stream
-CHUNK samples at a time through the draws (_draw_arrays), the builders
+CHUNK samples at a time through the draws (stream.draws), the builders
 (_build_arrays, float64 quaternion arrays), the kernel, which checks the
 relation and classifies every pair at once (_classify_arrays), and the
 tally.  sample_pair and classify are the same pipeline on a batch of one;
@@ -44,7 +38,7 @@ classify raises from the kernel's reason code.  Every array element repeats
 the floating-point operations of build_irr, build_red_noncoprime (with
 CPython's complex power), conjugate_by and mat_pow in their order, bit for
 bit, so no per-sample Python call is left on the draw and build path
-beyond the slow draws and the math functions numpy rounds differently.
+beyond stream's slow draws and the math functions numpy rounds differently.
 
 The tally and the summary are arrays too, with no Python object per arc:
 counts per node and per arc, running maxima (the residuals are >= 0, so
@@ -81,7 +75,7 @@ from .components import (
     irr_labels,
     irr_position,
 )
-from . import graph
+from . import graph, stream
 from .graph import _endpoint_rule, _json_block, _sig12
 from .reps import _alpha_conj, character
 from .roots import root
@@ -109,14 +103,15 @@ RELATION_TOL = 1e-6
 RESIDUALS_FLAG_RELATION = 1e-9
 RESIDUALS_FLAG_CLASSIFICATION = 1e-6
 
+# find_conjugator's bounds: the characters of two conjugate pairs agree
+# within CHAR_TOL, and a conjugator transports the pair within
+# CONJUGATOR_TOL (acceptance criterion 6's bound).
+CHAR_TOL = 1e-8
+CONJUGATOR_TOL = 1e-7
+
 # Samples per batch of empirical_structure: bounds the batch's arrays, so
 # peak memory does not grow with the sample count.
 CHUNK = 2048
-
-# Indices per block of the stream guard: in every block of GUARD indices
-# (from index 0), the first index the array stream draws and the first it
-# leaves to a seeded Generator are drawn again by _draw and must agree.
-GUARD = 512
 
 # The kernel's reason code per pair: OK, or why classify refuses the pair
 # (the relation fails, a's or b's label is ambiguous, the labels' parity).
@@ -144,6 +139,14 @@ class SampleConfig:
             raise ValueError("sample_count must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.seed >= stream.SEEDS:
+            raise ValueError(f"seed must be below 2**64, got {self.seed}")
+        p = self.params
+        if count_irr(p) > stream.K_MAX:
+            raise ValueError(
+                f"({p.m}, {p.n}) has {count_irr(p)} irreducible components, more than "
+                "the 2**32 the stream can draw from"
+            )
         if not 0.0 <= self.reducible_fraction <= 1.0:
             raise ValueError("reducible_fraction must lie in [0, 1]")
         check_tol(self.tol)
@@ -156,8 +159,9 @@ def _irr_tables(p: GroupParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     (irr_labels), and lam and mu hold root(k, m) and root(kp, n) per
     exponent, as build_irr makes them.  O(m*n) labels, so only the order in
     use is kept; the reducible builder and the kernel never read them."""
-    lam, mu = (np.array([root(k, o).to_complex() for k in range(o)]) for o in (p.m, p.n))
-    return *irr_labels(p), lam, mu
+    k, kp = irr_labels(p)  # first: an order too large for them fails at once
+    lam, mu = (np.array([root(e, o).to_complex() for e in range(o)]) for o in (p.m, p.n))
+    return k, kp, lam, mu
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,23 +172,12 @@ class ClassifiedPoint:
     classification_residual: float
 
 
-def _calls(cfg: SampleConfig, rng: np.random.Generator) -> tuple[bool, int, float, np.ndarray]:
-    """One draw (reducible, j, u, g) from rng: the Generator calls, in their
-    order, that define every sample.
-
-    j is the raw reducible circle or the index into enumerate_irr(p), u
-    the uniform that becomes the circle angle 2*pi*u or the coordinate t,
-    and g the four Gaussians of the Haar conjugator.
-    """
+def _stream_args(cfg: SampleConfig) -> tuple[float, int, int]:
+    """stream's (fraction, k_red, k_irr) of cfg: the K of integers(0, K) is
+    the raw reducible circles on one branch, the irreducible components on
+    the other."""
     p = cfg.params
-    if rng.random() < cfg.reducible_fraction:
-        return True, int(rng.integers(0, p.d // 2 + 1)), rng.random(), rng.normal(size=4)
-    return False, int(rng.integers(count_irr(p))), rng.random(), rng.normal(size=4)
-
-
-def _draw(cfg: SampleConfig, index: int) -> tuple[bool, int, float, np.ndarray]:
-    """The index-th draw of the stream: _calls on default_rng((seed, index))."""
-    return _calls(cfg, np.random.default_rng((cfg.seed, index)))
+    return cfg.reducible_fraction, p.d // 2 + 1, count_irr(p)
 
 
 def _one(x: UnitaryMatrix) -> QuaternionArrays:
@@ -194,7 +187,7 @@ def _one(x: UnitaryMatrix) -> QuaternionArrays:
 
 def sample_pair(cfg: SampleConfig, index: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
     """The index-th sample of the configured stream: a pair satisfying the relation."""
-    draw = (np.array([value]) for value in _draw(cfg, index))
+    draw = (np.array([v]) for v in stream.draw(cfg.seed, index, *_stream_args(cfg)))
     return tuple(
         UnitaryMatrix(complex(q[0][0], q[1][0]), complex(q[2][0], q[3][0]))
         for q in _build_arrays(cfg.params, *draw)
@@ -265,54 +258,6 @@ def _two_cos(k: np.ndarray, order: int) -> np.ndarray:
     return np.array([values[j] for j in k.tolist()], dtype=float)
 
 
-def _draw_bits(reducible, j, u, g) -> tuple[bool, int, bytes]:
-    """One index's draw with its floats as IEEE bytes, so -0.0 != 0.0."""
-    return bool(reducible), int(j), np.append(u, g).tobytes()
-
-
-def _firsts(positions: np.ndarray, indices: range) -> list[int]:
-    """The first of the increasing positions into indices in each GUARD block."""
-    block = (indices.start + positions) // GUARD
-    return positions[np.flatnonzero(np.diff(block, prepend=-1))].tolist()
-
-
-def _draw_arrays(
-    cfg: SampleConfig, indices: range
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """_draw(cfg, i) for every i in indices, as arrays (reducible, j, u, g).
-
-    stream.draws computes them as uint64 array arithmetic.  An index it
-    leaves to numpy is drawn by _calls on one Generator loaded with the
-    index's seeded state, or by _draw where the replica cannot seed it.  In
-    each GUARD block the first index of either kind is drawn again by _draw
-    and must agree bit for bit, else RuntimeError.
-    """
-    from . import stream  # here, so that importing the CLI does not load its tables
-
-    p = cfg.params
-    fast, *arrays, seeded = stream.draws(
-        cfg.seed, indices, cfg.reducible_fraction, p.d // 2 + 1, count_irr(p)
-    )
-    slow = np.flatnonzero(~fast)
-    if seeded is None:
-        drawn = [_draw(cfg, indices[pos]) for pos in slow.tolist()]
-    else:
-        rng = np.random.Generator(np.random.PCG64(0))  # its state is set per index
-        drawn = []
-        for words in seeded[slow].tolist():
-            rng.bit_generator.state = stream.pcg64_state(words)
-            drawn.append(_calls(cfg, rng))
-    for column, values in zip(arrays, zip(*drawn)):
-        column[slow] = values
-    for pos in _firsts(np.flatnonzero(fast), indices) + _firsts(slow, indices):
-        if _draw_bits(*_draw(cfg, indices[pos])) != _draw_bits(*(c[pos] for c in arrays)):
-            raise RuntimeError(
-                f"tkchar.stream differs from numpy's default_rng((seed, index)) at "
-                f"({cfg.seed}, {indices[pos]}); numpy {np.__version__} changed its stream"
-            )
-    return tuple(arrays)
-
-
 def _cpow_arrays(re: np.ndarray, im: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     """CPython's complex power (re + i*im) ** e for an int 1 <= e, elementwise
     on non-zero bases: c_powu's square-and-multiply ladder from r = 1 up to
@@ -359,7 +304,7 @@ def _red_arrays(
 def _build_arrays(
     p: GroupParams, reducible: np.ndarray, j: np.ndarray, u: np.ndarray, g: np.ndarray
 ) -> tuple[QuaternionArrays, QuaternionArrays]:
-    """The pairs of the draws (reducible, j, u, g) of _draw_arrays:
+    """The pairs of the draws (reducible, j, u, g) of stream.draws:
     build_red_noncoprime(p, j, exp(2*pi*i*u)) (_red_arrays) or build_irr on
     enumerate_irr(p)[j] at t = u clamped into (0, 1), conjugated by
     from_quaternion of g."""
@@ -504,26 +449,21 @@ def _classify_arrays(
 
 
 def find_conjugator(
-    a: UnitaryMatrix,
-    b: UnitaryMatrix,
-    a2: UnitaryMatrix,
-    b2: UnitaryMatrix,
-    char_tol: float = 1e-8,
-    residual_tol: float = 1e-7,
+    a: UnitaryMatrix, b: UnitaryMatrix, a2: UnitaryMatrix, b2: UnitaryMatrix
 ) -> UnitaryMatrix | None:
     """A single SU(2) element conjugating (a, b) to (a2, b2), or None.
 
     Both pairs must be irreducible.  If the characters on the default word
-    list disagree beyond char_tol no conjugator exists and None is returned;
+    list disagree beyond CHAR_TOL no conjugator exists and None is returned;
     otherwise one is constructed by aligning the eigenbases of a and a2 and
     fixing the leftover diagonal phase from the second generator, and is
-    returned only if it actually transports the pair within residual_tol.
+    returned only if it actually transports the pair within CONJUGATOR_TOL.
     """
     if is_reducible_pair(a, b) or is_reducible_pair(a2, b2):
         raise ValueError("conjugator search requires irreducible pairs")
     chars = character(a, b)
     chars2 = character(a2, b2)
-    if max(abs(u - v) for u, v in zip(chars, chars2)) > char_tol:
+    if max(abs(u - v) for u, v in zip(chars, chars2)) > CHAR_TOL:
         return None
     _, e1, _ = eigen_decompose(a)
     _, f1, _ = eigen_decompose(a2)
@@ -539,7 +479,7 @@ def find_conjugator(
     phi = -cmath.phase(b_in_2.b / b_in_1.b) / 2.0
     conj = u2 @ UnitaryMatrix(cmath.exp(1j * phi), 0.0j) @ u1.inv()
     residual = sup_diff(conjugate_by(a, conj), a2) + sup_diff(conjugate_by(b, conj), b2)
-    if residual > residual_tol:
+    if residual > CONJUGATOR_TOL:
         return None
     return conj
 
@@ -660,7 +600,8 @@ def empirical_structure(cfg: SampleConfig) -> Summary:
     decode_errors = 0
 
     for start in range(0, cfg.sample_count, CHUNK):
-        draws = _draw_arrays(cfg, range(start, min(start + CHUNK, cfg.sample_count)))
+        indices = range(start, min(start + CHUNK, cfg.sample_count))
+        draws = stream.draws(cfg.seed, indices, *_stream_args(cfg))
         out = _classify_arrays(p, *_build_arrays(p, *draws), cfg.tol)
         ok = out.reason == OK
         decode_errors += int((~ok).sum())

@@ -71,6 +71,16 @@ class TestGraph:
         _, out2, _ = run(capsys, "graph", "-m", "8", "-n", "12", "--format", "json")
         assert out1 == out2
 
+    def test_out_of_memory_usage_error(self, capsys, monkeypatch):
+        # an order whose arrays do not fit is a usage error, not a failed
+        # verification or a traceback
+        def refuse(p):
+            raise MemoryError()
+
+        monkeypatch.setattr(tkchar.cli, "build_graph", refuse)
+        code, out, err = run(capsys, "graph", "-m", "1000000000000", "-n", "3")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
 
 class TestRep:
     def test_irreducible_traces(self, capsys):
@@ -164,6 +174,38 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "-m", "3", "-n", "2", "-N", "10", "--seed", "-1")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "seed" in err
+
+    def test_seed_past_64_bits_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "-m", "3", "-n", "2", "--seed", str(2**64))
+        assert (code, out) == (2, "")
+        assert err == f"error: seed must be below 2**64, got {2**64}\n"
+
+    def test_too_many_components_refused_at_once(self):
+        # about 10**12 irreducible components: refused before any table is built
+        argv = ["verify", "-m", "1000000000000", "-n", "3", "-N", "10"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tkchar", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: (1000000000000, 3) has 999999999999 irreducible components, "
+            "more than the 2**32 the stream can draw from\n"
+        )
+
+    def test_labels_out_of_memory_usage_error(self, capsys, monkeypatch):
+        # below the component limit, an order whose label table does not fit
+        # fails at once: the labels come before the O(m + n) root tables
+        def refuse(p):
+            raise MemoryError("Unable to allocate 14.9 GiB")
+
+        def root(*args):
+            raise AssertionError("root table built before the labels")
+
+        monkeypatch.setattr(tkchar.verify, "irr_labels", refuse)
+        monkeypatch.setattr(tkchar.verify, "root", root)
+        tkchar.verify._irr_tables.cache_clear()
+        code, out, err = run(capsys, "verify", "-m", "1000000000", "-n", "3", "-N", "10")
+        assert (code, out, err) == (2, "", "error: Unable to allocate 14.9 GiB\n")
 
     def test_large_order_adjacency(self, capsys):
         # d = 100: every near-limit vote lands on build_graph's endpoint

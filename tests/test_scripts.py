@@ -8,9 +8,9 @@ import sys
 import pytest
 
 from tkchar import stream
-from tkchar.components import GroupParams, count_irr
+from tkchar.components import GroupParams
 from tkchar.graph import build_graph, to_dot, to_json, to_svg_schematic
-from tkchar.verify import SampleConfig, empirical_structure, summary_to_json
+from tkchar.verify import SampleConfig, _stream_args, empirical_structure, summary_to_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -99,8 +99,8 @@ def test_oracle_stages(verify_figures):
         "array tally", "writer", "json bytes", "empirical_structure",
         "import tkchar.cli", "cli process", "cli exit", "cli peak RSS MiB",
     ]
-    cfg, p = VERIFY_CFG, VERIFY_CFG.params
-    fast = stream.draws(cfg.seed, range(300), cfg.reducible_fraction, p.d // 2 + 1, count_irr(p))[0]
+    cfg = VERIFY_CFG
+    fast = stream.replica(cfg.seed, range(300), *_stream_args(cfg))[0]
     assert verify_figures["indices left to numpy"] == [int((~fast).sum())]
     check_times(verify_figures, 300, derived=("slow draws", "array tally"))
 

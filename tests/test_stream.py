@@ -1,59 +1,53 @@
-"""The array replica of numpy's default_rng((seed, index)) stream against
-numpy itself: bit for bit, its seeded states, its fallback and its guards."""
+"""The stream module against numpy itself: the replica of numpy's
+default_rng((seed, index)) stream bit for bit, its seeded states, the
+finished draws and their guards."""
 
 import numpy as np
 import pytest
 
-import tkchar.verify
 from tkchar import stream
-from tkchar.components import GroupParams, count_irr
-from tkchar.verify import (
-    CHUNK,
-    GUARD,
-    SampleConfig,
-    _calls,
-    _draw,
-    _draw_arrays,
-    _draw_bits,
-    empirical_structure,
-    summary_to_json,
-)
+from tkchar.components import GroupParams
+from tkchar.stream import GUARD, _bits
+from tkchar.verify import CHUNK, SampleConfig, _stream_args, empirical_structure, summary_to_json
 
 ORDERS = [(7, 4), (2, 3), (4, 6), (30, 45), (2, 202)]
 
 
 def replica(cfg, indices):
-    p = cfg.params
-    return stream.draws(cfg.seed, indices, cfg.reducible_fraction, p.d // 2 + 1, count_irr(p))
+    return stream.replica(cfg.seed, indices, *_stream_args(cfg))
 
 
-def seeded_draw(cfg, words):
-    """_calls on a Generator loaded with one row of the replica's seeded words."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = stream.pcg64_state(words)
-    return _calls(cfg, rng)
+def draw(cfg, index):
+    return stream.draw(cfg.seed, index, *_stream_args(cfg))
+
+
+def check_replica(cfg, indices):
+    """Every fast-path index of the replica, every index drawn from its
+    seeded state (the slow ones among them) and every index of the finished
+    draws is draw's draw bit for bit; returns the replica's fast mask."""
+    fast, *arrays, seeded = replica(cfg, indices)
+    finished = stream.draws(cfg.seed, indices, *_stream_args(cfg))
+    from_seeded = stream._generator_draws(seeded, *_stream_args(cfg))
+    for pos, index in enumerate(indices):
+        want = _bits(*draw(cfg, index))
+        assert _bits(*(c[pos] for c in finished)) == want, index
+        assert _bits(*from_seeded[pos]) == want, index
+        if fast[pos]:
+            assert _bits(*(c[pos] for c in arrays)) == want, index
+    return fast
 
 
 @pytest.mark.parametrize("seed", [0, 1, 8, 424242, 2**31 - 1, 2**32 - 1, 2**32])
 def test_replica_equals_draw(seed):
-    # every fast-path index of the replica, every index drawn from its
-    # seeded state (the slow ones among them) and every index of
-    # _draw_arrays is _draw's draw bit for bit; chunks start at zero and past it
+    # chunks start at zero and past it
     slow = 0
     for m, n in ORDERS:
         for fraction in (0.0, 0.25, 1.0):
             cfg = SampleConfig(params=GroupParams(m, n), seed=seed, reducible_fraction=fraction)
             for indices in (range(0, 120), range(777, 897)):
-                fast, *arrays, seeded = replica(cfg, indices)
+                fast = check_replica(cfg, indices)
                 assert fast.mean() > 0.8, (m, n, fraction)
                 slow += int((~fast).sum())
-                batch = _draw_arrays(cfg, indices)
-                for pos, index in enumerate(indices):
-                    want = _draw_bits(*_draw(cfg, index))
-                    assert _draw_bits(*(c[pos] for c in batch)) == want, (m, n, fraction, index)
-                    assert _draw_bits(*seeded_draw(cfg, seeded[pos].tolist())) == want, (m, n, index)
-                    if fast[pos]:
-                        assert _draw_bits(*(c[pos] for c in arrays)) == want, (m, n, index)
     assert slow > 0
 
 
@@ -62,7 +56,7 @@ def test_both_branches_and_no_integer_draw():
     # reducible one at d = 1; both branches occur at fraction 0.25
     for m, n in ((2, 3), (7, 4), (4, 6)):
         cfg = SampleConfig(params=GroupParams(m, n), seed=5)
-        fast, reducible, j, u, g, _ = replica(cfg, range(300))
+        reducible, j, u, g = stream.draws(cfg.seed, range(300), *_stream_args(cfg))
         assert reducible.any() and not reducible.all()
         if m == 2:
             assert not j[~reducible].any()
@@ -70,16 +64,13 @@ def test_both_branches_and_no_integer_draw():
             assert not j[reducible].any()
 
 
-def test_indices_past_32_bits_fall_back():
-    # an index of 2**32 or more takes two entropy words; the replica seeds
-    # none of them, and _draw draws those
-    cfg = SampleConfig(params=GroupParams(4, 6), seed=3)
-    indices = range(2**32 - 3, 2**32 + 3)
-    fast, *_, seeded = replica(cfg, indices)
-    assert not fast.any() and seeded is None
-    batch = _draw_arrays(cfg, indices)
-    for pos, index in enumerate(indices):
-        assert _draw_bits(*(c[pos] for c in batch)) == _draw_bits(*_draw(cfg, index))
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+def test_indices_across_32_bits(seed):
+    # an index of 2**32 or more is two entropy words for numpy, and the
+    # replica always seeds two: its fast path and its seeded states are
+    # numpy's on both sides of 2**32, and with a two-word seed
+    cfg = SampleConfig(params=GroupParams(4, 6), seed=seed)
+    assert check_replica(cfg, range(2**32 - 3, 2**32 + 3)).any()
 
 
 def ziggurat_tables():
@@ -151,7 +142,7 @@ def test_guard_checks_every_block(monkeypatch, kind):
     fast = replica(cfg, range(cfg.sample_count))[0]
     block = np.arange(GUARD, 2 * GUARD)
     target = int(block[fast[block] if kind == "fast" else ~fast[block]][0])
-    real = stream.draws
+    real = stream.replica
 
     def corrupted(*args):
         fast, reducible, j, u, g, seeded = real(*args)
@@ -161,7 +152,7 @@ def test_guard_checks_every_block(monkeypatch, kind):
             seeded[target, 0] ^= np.uint64(1)
         return fast, reducible, j, u, g, seeded
 
-    monkeypatch.setattr(stream, "draws", corrupted)
+    monkeypatch.setattr(stream, "replica", corrupted)
     with pytest.raises(RuntimeError, match="default_rng"):
         empirical_structure(cfg)
 
@@ -178,16 +169,16 @@ def test_fallback_alone_gives_the_same_bytes(monkeypatch):
 
 @pytest.mark.parametrize("m, n", [(4, 6), (30, 45)])
 def test_draw_calls_bounded(monkeypatch, m, n):
-    # _draw covers only the guards: the first fast and the first slow index
-    # of each GUARD block
+    # stream.draw covers only the guards: the first fast and the first slow
+    # index of each GUARD block
     calls = []
-    real = tkchar.verify._draw
+    real = stream.draw
 
-    def counted(cfg, index):
+    def counted(seed, index, *args):
         calls.append(index)
-        return real(cfg, index)
+        return real(seed, index, *args)
 
-    monkeypatch.setattr(tkchar.verify, "_draw", counted)
+    monkeypatch.setattr(stream, "draw", counted)
     count = 20_000
     empirical_structure(SampleConfig(params=GroupParams(m, n), sample_count=count, seed=1))
     blocks = -(-count // GUARD)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tkchar import stream
 from tkchar.components import (
     GroupParams,
     Irr,
@@ -52,12 +53,11 @@ from tkchar.verify import (
     _classify_arrays,
     _decimal_order,
     _decimal_rank,
-    _draw,
-    _draw_arrays,
     _irr_tables,
     _labels,
     _leaders,
     _red_arrays,
+    _stream_args,
     canonical_red_angle,
     classify,
     empirical_structure,
@@ -381,6 +381,16 @@ class TestSamplePair:
             with pytest.raises(ValueError, match="tol"):
                 SampleConfig(params=GroupParams(3, 2), tol=bad)
 
+    def test_config_refuses_what_the_stream_does_not_cover(self):
+        # seeds of three entropy words, and K of integers(0, K) past 2**32,
+        # where numpy takes its 64-bit bounded path
+        with pytest.raises(ValueError, match=r"seed must be below 2\*\*64, got 18446744073709551616"):
+            SampleConfig(params=GroupParams(3, 2), seed=2**64)
+        SampleConfig(params=GroupParams(3, 2), seed=2**64 - 1)
+        with pytest.raises(ValueError, match="8589869056 irreducible components"):
+            SampleConfig(params=GroupParams(2**17, 2**17 + 1))
+        SampleConfig(params=GroupParams(2**16, 2**17 + 1))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_classify_tolerance_validated(self, bad):
         # the tolerance SampleConfig refuses is refused by classify too
@@ -560,11 +570,16 @@ class TestEmpiricalStructure:
         assert s.ok is False
 
 
+def draw_arrays(cfg: SampleConfig, indices: range):
+    """stream.draws of cfg's stream over indices."""
+    return stream.draws(cfg.seed, indices, *_stream_args(cfg))
+
+
 def reference_pair(cfg: SampleConfig, comps, index: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
-    """The index-th sample built by the scalar builders from _draw, comps
+    """The index-th sample built by the scalar builders from stream.draw, comps
     being enumerate_irr(cfg.params)."""
     p = cfg.params
-    reducible, j, u, g = _draw(cfg, index)
+    reducible, j, u, g = stream.draw(cfg.seed, index, *_stream_args(cfg))
     if reducible:
         a, b = build_red_noncoprime(p, j, cmath.exp(1j * (2.0 * math.pi * u)))
     else:
@@ -590,7 +605,7 @@ class TestBatchedOracle:
         comps = enumerate_irr(cfg.params)
         for start in range(0, cfg.sample_count, CHUNK):
             indices = range(start, min(start + CHUNK, cfg.sample_count))
-            batch = [matrices(q) for q in _build_arrays(cfg.params, *_draw_arrays(cfg, indices))]
+            batch = [matrices(q) for q in _build_arrays(cfg.params, *draw_arrays(cfg, indices))]
             for pos, index in enumerate(indices):
                 want = [quaternion_bits(x) for x in reference_pair(cfg, comps, index)]
                 assert [quaternion_bits(q[pos]) for q in batch] == want, index
@@ -633,7 +648,7 @@ class TestBatchedOracle:
         # references and the drawn component and coordinate
         p = GroupParams(m, n)
         cfg = SampleConfig(params=p, sample_count=700, seed=m)
-        reducible, j, u, _ = draws = _draw_arrays(cfg, range(cfg.sample_count))
+        reducible, j, u, _ = draws = draw_arrays(cfg, range(cfg.sample_count))
         a, b = _build_arrays(p, *draws)
         out = _classify_arrays(p, a, b, cfg.tol)
         comps = enumerate_irr(p)
@@ -760,7 +775,7 @@ def reference_summary(cfg: SampleConfig) -> dict:
     votes = {key: [Counter(), Counter()] for key in labels}
     max_relation = max_classification = 0.0
     decode_errors = 0
-    out = _classify_arrays(p, *_build_arrays(p, *_draw_arrays(cfg, range(cfg.sample_count))), cfg.tol)
+    out = _classify_arrays(p, *_build_arrays(p, *draw_arrays(cfg, range(cfg.sample_count))), cfg.tol)
     for i in range(cfg.sample_count):
         if out.reason[i] != OK:
             decode_errors += 1
