@@ -395,7 +395,7 @@ def draws(
     for column, values in zip(arrays, zip(*_generator_draws(seeded[slow], *args))):
         column[slow] = values
     # the first position of each (GUARD block, fast) key: the guarded indices
-    key = (indices.start + np.arange(len(indices))) // GUARD * 2 + fast
+    key = np.arange(indices.start, indices.stop) // GUARD * 2 + fast
     for pos in np.unique(key, return_index=True)[1].tolist():
         if _bits(*draw(seed, indices[pos], *args)) != _bits(*(c[pos] for c in arrays)):
             raise RuntimeError(
