@@ -5,15 +5,16 @@ the writer and json bytes (below).
 
 verify mode, each stage over all verify.CHUNK-sized batches:
 
-- draw loop: the scalar stream, `stream.draw` once per index (the
-  reference the batched stream replaces);
+- scalar stream: `stream.draw` once per index, the stream's definition in
+  Python ints;
 - replica: `stream.replica`, the uint64 array replica of the stream, and
-  the count of indices it leaves to numpy;
-- slow draws: the finished `stream.draws` minus the replica, i.e. those
-  indices drawn from their seeded states, and the guards (derived);
+  the count of slow indices, which it leaves to the scalar code;
+- scalar completion: the finished `stream.draws` minus the replica, i.e.
+  the slow indices completed by the scalar code from their seeded states,
+  and the guards (derived);
 - builders: `_build_arrays` on the completed draws;
 - kernel: `_classify_arrays` on the builders' pairs;
-- array tally: `empirical_structure` minus replica, slow draws, builders
+- array tally: `empirical_structure` minus replica, scalar completion, builders
   and kernel, i.e. the expected arc ends (`components.attachment_nodes`
   over the cached label table), the count, maximum and vote arrays and
   each arc end's winner (derived);
@@ -68,7 +69,7 @@ from tkchar.verify import (
 
 SRC = str(Path(tkchar.__file__).resolve().parent.parent)
 # figures that are not seconds, with their format; they have no per-item column
-COUNTS = {"indices left to numpy": "{:.0f}", "json bytes": "{:.0f}", "cli exit": "{:.0f}",
+COUNTS = {"slow indices": "{:.0f}", "json bytes": "{:.0f}", "cli exit": "{:.0f}",
           "cli peak RSS MiB": "{:.1f}"}
 
 # Runs argv[1:] with stdout on /dev/null, prints [wall s, ru_maxrss KiB,
@@ -122,15 +123,15 @@ def verify_stages(cfg: SampleConfig) -> dict[str, float]:
     p, count = cfg.params, cfg.sample_count
     chunks = [range(s, min(s + CHUNK, count)) for s in range(0, count, CHUNK)]
     seed, args = cfg.seed, _stream_args(cfg)
-    t = {"draw loop": timed(lambda: [stream.draw(seed, i, *args) for i in range(count)])[0]}
+    t = {"scalar stream": timed(lambda: [stream.draw(seed, i, *args) for i in range(count)])[0]}
     t["replica"], replicas = timed(lambda: [stream.replica(seed, c, *args) for c in chunks])
-    t["indices left to numpy"] = sum(int((~r[0]).sum()) for r in replicas)
+    t["slow indices"] = sum(int((~r[0]).sum()) for r in replicas)
     stream_s, draws = timed(lambda: [stream.draws(seed, c, *args) for c in chunks])
-    t["slow draws"] = stream_s - t["replica"]
+    t["scalar completion"] = stream_s - t["replica"]
     t["builders"], pairs = timed(lambda: [_build_arrays(p, *d) for d in draws])
     t["kernel"] = timed(lambda: [_classify_arrays(p, a, b, cfg.tol) for a, b in pairs])[0]
     total, summary = timed(empirical_structure, cfg)
-    staged = ("replica", "slow draws", "builders", "kernel")
+    staged = ("replica", "scalar completion", "builders", "kernel")
     t["array tally"] = total - sum(t[s] for s in staged)
     t["writer"], t["json bytes"] = timed(drain, summary_chunks(summary))
     t["empirical_structure"] = total

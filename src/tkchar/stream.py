@@ -1,64 +1,74 @@
-"""The oracle's sample stream: numpy's default_rng((seed, index)) draws.
+"""The oracle's sample stream: the draws of numpy's default_rng((seed, index)).
 
-draw() defines the stream: for each sample index a fresh
-np.random.default_rng((seed, index)) makes the calls random(),
-integers(0, K), random() and normal(size=4) (_calls).  Building one
-Generator per index costs about 22 us.  draws() gives the same numbers for
-a whole range of indices as arrays.  Its replica computes them with uint64
-array arithmetic, in four pieces:
+Each sample index has its own stream, the one numpy's default_rng((seed,
+index)) gives, and makes the calls random(), integers(0, K), random() and
+normal(size=4) on it.  This module computes that stream without numpy's
+Generator, which it never imports: draw() defines one index's draw in
+Python ints, and draws() gives a whole range's as arrays.  The stream has
+four parts:
 
 - SeedSequence: the entropy words of (seed, index) hashed into a pool of
   four 32-bit words, expanded by generate_state(4, np.uint64);
 - PCG64 (O'Neill 2014, "PCG: a family of simple fast space-efficient
   statistically good algorithms"): a 128-bit LCG seeded from those words,
-  stepped before each XSL-RR output, held as four 32-bit limbs;
-- random(): the top 53 bits of one output, integers(0, K): Lemire's
-  bounded integer on the low 32 bits of one output;
-- normal(): the fast path of numpy's ziggurat (Marsaglia & Tsang 2000,
-  "The Ziggurat Method for Generating Random Variables") with its 256-entry
-  tables _KI and _WI, which numpy does not export; tests/test_stream.py
-  recovers both from numpy.
+  stepped before each XSL-RR output;
+- random(): the top 53 bits of one output; integers(0, K): Lemire's
+  bounded integer ("Fast random integer generation in an interval", ACM
+  TOMACS 2019) on PCG64's buffered 32-bit halves, the low half of an
+  output first, then its high half;
+- normal(): numpy's ziggurat (Marsaglia & Tsang 2000, "The Ziggurat Method
+  for Generating Random Variables") with its 256-entry tables _KI, _WI and
+  _FI, which numpy does not export; tests/test_stream.py recovers them
+  from numpy.
 
-Only the common path of each routine is computed.  An index whose draw
-leaves it (a Lemire threshold test, a ziggurat wedge or tail, about 6% of
-indices) is marked slow, and draws() makes its calls on one numpy
-Generator loaded with the PCG64 state the replica seeded for it, about
-10 us against 30 us for a fresh default_rng.  The replica covers seeds
-below SEEDS = 2**64 and K up to K_MAX = 2**32, which verify.SampleConfig
+draws() runs a replica of the common path of every routine as uint64 array
+arithmetic, with PCG64 in 32-bit limbs.  An index whose draw leaves it (a
+Lemire retry, a ziggurat wedge or tail, about 6% of indices) is marked
+slow, and draws() completes it with draw()'s scalar code, started from the
+PCG64 state the replica seeded for it.  The stream covers seeds below
+SEEDS = 2**64 and K up to K_MAX = 2**32, which verify.SampleConfig
 enforces: past them numpy hashes more entropy words or draws integers(0, K)
 on its 64-bit path.  In every block of GUARD indices draws() draws the
-first fast and the first slow index again with draw(), so a numpy release
-that changed the stream or its seeding makes it raise instead of moving a
-byte.
+first fast and the first slow index again with draw(), so the array
+replica and the scalar definition cannot part without it raising.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MASK32 = 0xFFFFFFFF
+MASK64 = (1 << 64) - 1
+MASK128 = (1 << 128) - 1
 
-# the seeds and the K of integers(0, K) that the replica covers
+# the seeds and the K of integers(0, K) that the stream covers
 SEEDS = 1 << 64
 K_MAX = 1 << 32
 
 # Indices per block of the guard: in every block of GUARD indices (from
-# index 0), the first index the replica draws and the first it leaves to a
-# seeded Generator are drawn again by draw() and must agree.
+# index 0), the first index the replica draws and the first it leaves to
+# the scalar code are drawn again by draw() and must agree.
 GUARD = 512
 
-# numpy/random/bit_generator.pyx: SeedSequence's hash constants
+# SeedSequence's hash constants, from numpy's bit_generator.pyx
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 
-# PCG64's 128-bit multiplier, as 32-bit limbs from the lowest
+# PCG64's 128-bit multiplier, and as 32-bit limbs from the lowest
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_LIMBS = tuple((_PCG_MULT >> (32 * i)) & MASK32 for i in range(4))
 
-# ziggurat tables of numpy's random_standard_normal (ki_double, wi_double)
+# the ziggurat's tail: numpy's ziggurat_nor_r and ziggurat_nor_inv_r
+_R = 3.654152885361009
+_INV_R = 0.2736612373297583
+
+# ziggurat tables of numpy's random_standard_normal (ki_double, wi_double,
+# fi_double); the replica reads the first two, the scalar code all three
 _KI = np.array(
     [
         0xef33d8025ef6a, 0x0000000000000, 0xc08be98fbc6a8, 0xda354fabd8142, 0xe51f67ec1eeea,
@@ -207,6 +217,98 @@ _WI = np.array(
     ],
     dtype=np.float64,
 )
+_FI = [
+    1.0, 0.9771017012676716, 0.9598790918001067,
+    0.9451989534422996, 0.9320600759592305, 0.919991505039347,
+    0.9087264400521309, 0.8980959218983434, 0.8879846607558334,
+    0.8783096558089174, 0.869008688036857, 0.8600336211963315,
+    0.851346258458678, 0.8429156531122042, 0.8347162929868834,
+    0.8267268339462214, 0.8189291916037024, 0.8113078743126563,
+    0.8038494831709643, 0.796542330422959, 0.7893761435660246,
+    0.7823418326548025, 0.7754313049811872, 0.7686373157984863,
+    0.7619533468367954, 0.7553735065070961, 0.7488924472191568,
+    0.742505296340151, 0.7362075981268627, 0.7299952645614762,
+    0.7238645334686302, 0.717811932630722, 0.7118342488782484,
+    0.7059285013327543, 0.7000919181365116, 0.6943219161261167,
+    0.6886160830046718, 0.6829721616449949, 0.6773880362187735,
+    0.6718617198970821, 0.6663913439087501, 0.6609751477766631,
+    0.6556114705796973, 0.6502987431108167, 0.6450354808208223,
+    0.6398202774530566, 0.6346517992876236, 0.6295287799248367,
+    0.6244500155470265, 0.6194143606058343, 0.6144207238889139,
+    0.6094680649257734, 0.6045553906974678, 0.5996817526191253,
+    0.5948462437679874, 0.590047996332826, 0.5852861792633715,
+    0.5805599961007909, 0.5758686829723537, 0.5712115067352532,
+    0.5665877632561644, 0.5619967758145243, 0.557437893618766,
+    0.5529104904258323, 0.5484139632552658, 0.5439477311900263,
+    0.5395112342569521, 0.5351039323804576, 0.5307253044036621,
+    0.5263748471716845, 0.5220520746723218, 0.5177565172297564,
+    0.513487720747327, 0.5092452459957479, 0.5050286679434681,
+    0.5008375751261487, 0.4966715690524897, 0.49253026364386854,
+    0.48841328470545803, 0.4843202694266833, 0.48025086590904675,
+    0.47620473271950586, 0.4721815384677302, 0.4681809614056936,
+    0.46420268904817436, 0.46024641781284287, 0.45631185267871643,
+    0.4523987068618485, 0.44850670150720306, 0.4446355653957394,
+    0.440785034665804, 0.43695485254798555, 0.43314476911265226,
+    0.4293545410294414, 0.42558393133802197, 0.4218327092294959,
+    0.4181006498378482, 0.4143875340408911, 0.41069314827018816,
+    0.40701728432947337, 0.4033597392211145, 0.3997203149801972,
+    0.39609881851583245, 0.3924950614593156, 0.3889088600187887,
+    0.3853400348400773, 0.38178841087339366, 0.3782538172456192,
+    0.37473608713789114, 0.3712350576682395, 0.3677505697790326,
+    0.36428246812900406, 0.36083060098964803, 0.3573948201457805,
+    0.3539749808000768, 0.3505709414814061, 0.34718256395679364,
+    0.3438097131468507, 0.34045225704452187, 0.33711006663700605,
+    0.33378301583071845, 0.3304709813791636, 0.3271738428136014,
+    0.3238914823763911, 0.32062378495690536, 0.3173706380299136,
+    0.3141319315963372, 0.3109075581262865, 0.30769741250429206,
+    0.30450139197665, 0.30131939610080305, 0.2981513266966855,
+    0.2949970877999618, 0.2918565856170952, 0.2887297284821829,
+    0.28561642681550176, 0.2825165930837076, 0.27943014176163794,
+    0.2763569892956683, 0.27329705406857707, 0.27025025636587546,
+    0.26721651834356147, 0.2641957639972612, 0.2611879191327212,
+    0.25819291133761924, 0.25521066995466196, 0.2522411260559422,
+    0.24928421241852852, 0.24633986350126383, 0.2434080154227503,
+    0.2404886059405006, 0.2375815744312381, 0.23468686187233,
+    0.23180441082433872, 0.22893416541468034, 0.22607607132238028,
+    0.22323007576391748, 0.220396127480152, 0.21757417672433113,
+    0.21476417525117358, 0.21196607630703018, 0.20917983462112508,
+    0.2064054063978808, 0.2036427493103349, 0.2008918224946566,
+    0.19815258654577514, 0.1954250035141343, 0.19270903690358918,
+    0.19000465167046499, 0.1873118142238003, 0.18463049242679927,
+    0.18196065559952251, 0.17930227452284758, 0.17665532144373486,
+    0.17401977008183855, 0.17139559563750575, 0.1687827748012113,
+    0.1661812857644819, 0.16359110823236558, 0.161012223437511,
+    0.15844461415592428, 0.1558882647244792, 0.15334316106026286,
+    0.15080929068184568, 0.14828664273257455, 0.14577520800599403,
+    0.14327497897351346, 0.1407859498144447, 0.13830811644855073,
+    0.13584147657125376, 0.13338602969166916, 0.13094177717364436,
+    0.12850872227999957, 0.1260868702201859, 0.12367622820159657,
+    0.1212768054847903, 0.11888861344291006, 0.11651166562561087,
+    0.11414597782783849, 0.11179156816383809, 0.1094484571468118,
+    0.1071166677746838, 0.10479622562248707, 0.10248715894193525,
+    0.10018949876881002, 0.09790327903886246, 0.095628536713009,
+    0.09336531191269101, 0.09111364806637376, 0.08887359206827589,
+    0.08664519445055807, 0.08442850957035347, 0.0822235958132029,
+    0.08003051581466307, 0.07784933670209612, 0.07568013035892718,
+    0.07352297371398132, 0.0713779490588904, 0.06924514439700676,
+    0.0671246538277885, 0.0650165779712429, 0.06292102443775814,
+    0.06083810834953988, 0.05876795292093374, 0.0567106901062029,
+    0.05466646132488892, 0.05263541827679219, 0.05061772386094778,
+    0.04861355321586854, 0.04662309490193038, 0.044646552251294463,
+    0.04268414491647446, 0.04073611065594094, 0.03880270740452615,
+    0.036884215688567305, 0.034980941461716125, 0.03309321945857858,
+    0.0312214171919203, 0.02936593975813336, 0.027527235669603113,
+    0.02570580400854891, 0.02390220330579588, 0.02211706270730885,
+    0.02035109623004451, 0.018605121275724622, 0.016880083152543142,
+    0.01517708830793531, 0.013497450601739867, 0.011842757857907879,
+    0.010214971439701459, 0.008616582769398726, 0.007050875471373222,
+    0.0055224032992509916, 0.0040379725933630236, 0.0026090727461021593,
+    0.001260285930498598,
+]
+
+# the scalar code's own copies of _KI and _WI, so that a table changed in
+# the replica alone shows at the guard
+_ki, _wi = _KI.tolist(), _WI.tolist()
 
 
 def _hash_constants(init: int, mult: int):
@@ -217,23 +319,24 @@ def _hash_constants(init: int, mult: int):
         init = nxt
 
 
-def _hashmix(value: np.ndarray, constants) -> np.ndarray:
+def _hashmix(value, constants):
     xor, mult = next(constants)
     value = ((value ^ xor) * mult) & MASK32
     return value ^ (value >> _XSHIFT)
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mix(x, y):
     value = (x * _MIX_MULT_L - y * _MIX_MULT_R) & MASK32
     return value ^ (value >> _XSHIFT)
 
 
-def _state_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
+def _state_words(entropy: list) -> list:
     """SeedSequence(entropy).generate_state(4, np.uint64) as eight uint32
     words, the low half of each uint64 first, for at most four entropy
-    words: the pool is the words padded with zeros."""
+    words (ints, or uint64 arrays of one word per index): the pool is the
+    words padded with zeros."""
     constants = _hash_constants(_INIT_A, _MULT_A)
-    padded = entropy + [np.zeros_like(entropy[0])] * (_POOL_SIZE - len(entropy))
+    padded = entropy + [entropy[0] * 0] * (_POOL_SIZE - len(entropy))
     pool = [_hashmix(word, constants) for word in padded]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
@@ -243,8 +346,15 @@ def _state_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return [_hashmix(pool[i % _POOL_SIZE], constants) for i in range(8)]
 
 
-def _carry(columns: list[np.ndarray]) -> list[np.ndarray]:
-    """32-bit limbs, mod 2**128, of a number given as column sums below 2**63."""
+def _seed_words(seed: int) -> list[int]:
+    """SeedSequence takes an int as its uint32 words, lowest first: a seed
+    below 2**64 is one or two words."""
+    return [seed & MASK32, seed >> 32] if seed > MASK32 else [seed]
+
+
+def _carry(columns: list) -> list:
+    """32-bit limbs, mod 2**128, of a number given as column sums below 2**63
+    (ints, or uint64 arrays of one number per index)."""
     limbs, carry = [], 0
     for column in columns:
         column = column + carry
@@ -253,7 +363,7 @@ def _carry(columns: list[np.ndarray]) -> list[np.ndarray]:
     return limbs
 
 
-def _step(state: list[np.ndarray], inc: list[np.ndarray]) -> list[np.ndarray]:
+def _step(state: list, inc: list) -> list:
     """One PCG64 step, state * multiplier + inc mod 2**128, on 32-bit limbs."""
     columns = list(inc)
     for i in range(4):
@@ -279,20 +389,25 @@ def _double(raw: np.ndarray) -> np.ndarray:
     return (raw >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def _seeded(seed: int, indices: range) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """PCG64's (state, inc) as 32-bit limbs, seeded from SeedSequence((seed,
-    index)) for every index: state 0, a step, the seed added, a step.
-
-    SeedSequence takes an int as its uint32 words, lowest first.  A seed
-    below 2**64 is one or two words, and the index is always two here, so
-    the pool holds at most four words, and a zero high word hashes as the
-    zero padding of a one-word index does."""
-    index = np.arange(indices.start, indices.stop, dtype=np.uint64)
-    words = [seed & MASK32, seed >> 32] if seed > MASK32 else [seed]
-    words = [np.full(len(indices), w, dtype=np.uint64) for w in words]
-    w = _state_words(words + [index & MASK32, index >> 32])
+def _pcg64(w: list) -> tuple[list, list]:
+    """PCG64's (state, inc) as 32-bit limbs, seeded from the eight words w
+    of _state_words, whose uint64 words v[i] = w[2i] | w[2i+1] << 32 give
+    the seed v[0] << 64 | v[1] and the increment v[2] << 64 | v[3]: state 0,
+    a step, the seed added, a step."""
     inc = _carry([2 * w[6] + 1, 2 * w[7], 2 * w[4], 2 * w[5]])
     return _step(_carry([x + y for x, y in zip(inc, (w[2], w[3], w[0], w[1]))]), inc), inc
+
+
+def _seeded(seed: int, indices: range) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """PCG64's (state, inc) as 32-bit limbs, seeded from SeedSequence((seed,
+    index)) for every index.
+
+    The index is always two words here, so the pool holds at most four
+    words, and a zero high word hashes as the zero padding of a one-word
+    index does."""
+    index = np.arange(indices.start, indices.stop, dtype=np.uint64)
+    words = [np.full(len(indices), w, dtype=np.uint64) for w in _seed_words(seed)]
+    return _pcg64(_state_words(words + [index & MASK32, index >> 32]))
 
 
 def replica(
@@ -305,7 +420,7 @@ def replica(
     routine; the values of the others are meaningless.  g has one row of
     four Gaussians per index.  seeded holds each index's PCG64 state right
     after seeding, one row (state low, state high, inc low, inc high) of
-    64-bit words per index, which _generator_draws loads.
+    64-bit words per index, from which draws() completes the slow ones.
     """
     # every draw takes the output of one more step from the seeded state
     state, inc = _seeded(seed, indices)
@@ -336,41 +451,99 @@ def replica(
     return fast, reducible, j, u, g, seeded
 
 
-def _calls(
-    rng: np.random.Generator, fraction: float, k_red: int, k_irr: int
+class _PCG64:
+    """numpy's PCG64 as one 128-bit int, with the high 32-bit half of an
+    output that next32 keeps for its next call."""
+
+    __slots__ = ("state", "inc", "half")
+
+    def __init__(self, state: int, inc: int):
+        self.state, self.inc, self.half = state, inc, None
+
+    def next64(self) -> int:
+        """One step, then the XSL-RR output."""
+        state = self.state = (self.state * _PCG_MULT + self.inc) & MASK128
+        high = state >> 64
+        value, rot = high ^ (state & MASK64), high >> 58
+        return ((value >> rot) | (value << (64 - rot))) & MASK64
+
+    def next32(self) -> int:
+        """The low half of a fresh output, or the high half of the last."""
+        if self.half is None:
+            raw = self.next64()
+            self.half = raw >> 32
+            return raw & MASK32
+        half, self.half = self.half, None
+        return half
+
+    def random(self) -> float:
+        """The top 53 bits of an output times 2**-53."""
+        return (self.next64() >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _integer(bits: _PCG64, k: int) -> int:
+    """integers(0, k): nothing drawn for k == 1, one 32-bit half for
+    k == 2**32, else Lemire's m = half * k, drawn again while its low word
+    is below 2**32 mod k."""
+    if k == 1:
+        return 0
+    if k == K_MAX:
+        return bits.next32()
+    m = bits.next32() * k
+    if m & MASK32 < k:
+        threshold = K_MAX % k
+        while m & MASK32 < threshold:
+            m = bits.next32() * k
+    return m >> 32
+
+
+def _normal(bits: _PCG64) -> float:
+    """numpy's random_standard_normal: the ziggurat's layer, sign and
+    magnitude from one output; outside the layer's rectangle the wedge test
+    against _FI, or in layer 0 Marsaglia's tail beyond _R."""
+    while True:
+        r = bits.next64()
+        layer, negative, rabs = r & 0xFF, r >> 8 & 1, r >> 9 & ((1 << 52) - 1)
+        x = rabs * _wi[layer]
+        if negative:
+            x = -x
+        if rabs < _ki[layer]:
+            return x
+        if layer == 0:  # the tail's sign is bit 8 of rabs, not the sign bit
+            while True:
+                xx = -_INV_R * math.log1p(-bits.random())
+                yy = -math.log1p(-bits.random())
+                if yy + yy > xx * xx:
+                    return -(_R + xx) if rabs >> 8 & 1 else _R + xx
+        if (_FI[layer - 1] - _FI[layer]) * bits.random() + _FI[layer] < math.exp(-0.5 * x * x):
+            return x
+
+
+def _complete(
+    state: int, inc: int, fraction: float, k_red: int, k_irr: int
 ) -> tuple[bool, int, float, np.ndarray]:
-    """One draw (reducible, j, u, g) from rng: the Generator calls, in their
-    order, that define every sample.
+    """One draw (reducible, j, u, g) from a seeded PCG64 (state, inc): the
+    calls, in their order, that define every sample.
 
     j is the raw reducible circle (K = k_red) or the index into
     enumerate_irr (K = k_irr), u the uniform that becomes the circle angle
     2*pi*u or the coordinate t, and g the four Gaussians of the Haar
-    conjugator.
+    conjugator, each normal()'s loc + scale * x, which turns -0.0 into 0.0.
     """
-    reducible = rng.random() < fraction
-    j = int(rng.integers(0, k_red if reducible else k_irr))
-    return reducible, j, rng.random(), rng.normal(size=4)
+    bits = _PCG64(state, inc)
+    reducible = bits.random() < fraction
+    j = _integer(bits, k_red if reducible else k_irr)
+    return reducible, j, bits.random(), np.array([0.0 + 1.0 * _normal(bits) for _ in range(4)])
 
 
 def draw(
     seed: int, index: int, fraction: float, k_red: int, k_irr: int
 ) -> tuple[bool, int, float, np.ndarray]:
-    """The index-th draw of the stream: _calls on default_rng((seed, index))."""
-    return _calls(np.random.default_rng((seed, index)), fraction, k_red, k_irr)
-
-
-def _generator_draws(seeded: np.ndarray, *args) -> list[tuple[bool, int, float, np.ndarray]]:
-    """_calls(rng, *args) on one Generator loaded with each row of the
-    replica's seeded states in turn: each row's index's draw, as
-    default_rng((seed, index)) makes it."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    state = rng.bit_generator.state  # a fresh one: no buffered uint32
-    drawn = []
-    for state_lo, state_hi, inc_lo, inc_hi in seeded.tolist():
-        state["state"] = {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
-        rng.bit_generator.state = state
-        drawn.append(_calls(rng, *args))
-    return drawn
+    """The index-th draw of the stream, as default_rng((seed, index)) makes
+    it: PCG64 seeded as _seeded seeds it, in Python ints, then _complete."""
+    limbs = _pcg64(_state_words(_seed_words(seed) + [index & MASK32, index >> 32]))
+    state, inc = (sum(limb << (32 * i) for i, limb in enumerate(q)) for q in limbs)
+    return _complete(state, inc, fraction, k_red, k_irr)
 
 
 def _bits(reducible, j, u, g) -> tuple[bool, int, bytes]:
@@ -384,22 +557,26 @@ def draws(
     """draw(seed, i, fraction, k_red, k_irr) for every i in indices (a range
     of step 1), as arrays (reducible, j, u, g), g one row per index.
 
-    The replica computes them; an index it leaves to numpy is drawn by
-    _generator_draws from its seeded state.  In each GUARD block the first
-    index of either kind is drawn again by draw() and must agree bit for
-    bit, else RuntimeError.
+    The replica computes them; an index it leaves slow is completed by
+    _complete from its seeded state.  In each GUARD block the first index
+    of either kind is drawn again by draw() and must agree bit for bit,
+    else RuntimeError.
     """
     args = (fraction, k_red, k_irr)
     fast, *arrays, seeded = replica(seed, indices, *args)
     slow = np.flatnonzero(~fast)
-    for column, values in zip(arrays, zip(*_generator_draws(seeded[slow], *args))):
+    completed = (
+        _complete(s_lo | s_hi << 64, i_lo | i_hi << 64, *args)
+        for s_lo, s_hi, i_lo, i_hi in seeded[slow].tolist()
+    )
+    for column, values in zip(arrays, zip(*completed)):
         column[slow] = values
     # the first position of each (GUARD block, fast) key: the guarded indices
     key = np.arange(indices.start, indices.stop) // GUARD * 2 + fast
     for pos in np.unique(key, return_index=True)[1].tolist():
         if _bits(*draw(seed, indices[pos], *args)) != _bits(*(c[pos] for c in arrays)):
             raise RuntimeError(
-                f"tkchar.stream differs from numpy's default_rng((seed, index)) at "
-                f"({seed}, {indices[pos]}); numpy {np.__version__} changed its stream"
+                f"tkchar.stream's array replica differs from draw(), its definition of "
+                f"numpy's default_rng((seed, index)) stream, at ({seed}, {indices[pos]})"
             )
     return tuple(arrays)

@@ -7,13 +7,13 @@ matrices are conjugated by one Haar-uniform SU(2) element (normalized
 an option since the solution set has measure zero in SU(2) x SU(2).
 
 Randomness is reproducible and order-independent: each sample index gets
-its own generator seeded by the pair (seed, index), so the stream for a
-given sample never depends on how many other samples were drawn, by whom,
-or in which thread.  tkchar.stream is the one definition of that stream:
-stream.draw makes one index's draw and stream.draws a range's, finished
-and checked.  verify only maps a SampleConfig to their arguments
-(_stream_args); SampleConfig refuses the seeds and orders the stream does
-not cover.
+its own stream, numpy's default_rng((seed, index)), so the draw for a given
+sample never depends on how many other samples were drawn, by whom, or in
+which thread.  tkchar.stream is the one definition of that stream, and
+computes it without numpy's Generator: stream.draw makes one index's draw
+in Python ints and stream.draws a range's as arrays, finished and checked.
+verify only maps a SampleConfig to their arguments (_stream_args);
+SampleConfig refuses the seeds and orders the stream does not cover.
 
 Classification inverts the construction from the matrices alone, reading
 every decision from the polar form (half-angle alpha, axis v) of each
@@ -38,7 +38,8 @@ classify raises from the kernel's reason code.  Every array element repeats
 the floating-point operations of build_irr, build_red_noncoprime (with
 CPython's complex power), conjugate_by and mat_pow in their order, bit for
 bit, so no per-sample Python call is left on the draw and build path
-beyond stream's slow draws and the math functions numpy rounds differently.
+beyond the stream's slow draws, which it completes in Python ints, and the
+math functions numpy rounds differently.
 
 The tally and the summary are arrays too, with no Python object per arc:
 counts per node and per arc, running maxima (the residuals are >= 0, so

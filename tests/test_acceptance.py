@@ -17,6 +17,8 @@ import numpy as np
 from tkchar.cli import main as cli_main
 from tkchar.components import (
     GroupParams,
+    Irr,
+    Red,
     count_irr,
     enumerate_irr,
     enumerate_red,
@@ -27,8 +29,21 @@ from tkchar.components import (
 from tkchar.graph import build_graph, is_connected
 from tkchar.reps import DEFAULT_WORDS, build_irr, build_red_noncoprime, character, cross_ratio_of_pair
 from tkchar.roots import root
-from tkchar.su2 import conjugate_by, from_quaternion, mat_pow, sup_diff
-from tkchar.verify import AmbiguousDecodeError, classify, find_conjugator
+from tkchar.su2 import DEFAULT_TOL, conjugate_by, from_quaternion, mat_pow, sup_diff
+from tkchar.verify import (
+    AMBIGUOUS_A,
+    AMBIGUOUS_B,
+    PARITY,
+    RELATION,
+    _classify_arrays,
+    find_conjugator,
+)
+
+
+def quaternions(matrices):
+    """Quaternion arrays (Re a, Im a, Re b, Im b) of a list of matrices."""
+    parts = ((u.a.real, u.a.imag, u.b.real, u.b.imag) for u in matrices)
+    return tuple(np.array(c) for c in zip(*parts))
 
 
 def reported(number, title):
@@ -142,6 +157,7 @@ def test_criterion_04_cross_ratio_law():
 
 @reported(5, "classify(build(.)) round-trip within 1e-8, zero ambiguity, (m,n) <= 8")
 def test_criterion_05_round_trip():
+    # classify's kernel on one batch per order
     from tkchar.verify import canonical_red_angle
 
     ambiguity_errors = 0
@@ -149,28 +165,27 @@ def test_criterion_05_round_trip():
     for m in range(2, 9):
         for n in range(2, 9):
             p = GroupParams(m, n)
+            pairs, expected = [], []
             for comp in enumerate_irr(p):
                 for t in (0.05, 0.3, 0.5, 0.7, 0.95):
-                    a, b = build_irr(p, comp.k, comp.kp, t)
-                    try:
-                        out = classify(p, a, b)
-                    except AmbiguousDecodeError:
-                        ambiguity_errors += 1
-                        continue
-                    assert out.component == comp, (m, n, comp, t)
-                    worst = max(worst, abs(out.coordinate - t))
+                    pairs.append(build_irr(p, comp.k, comp.kp, t))
+                    expected.append((comp, t))
             for i in range(p.d):
                 for j in range(8):
                     theta = 0.11 + 2 * math.pi * j / 8
-                    a, b = build_red_noncoprime(p, i, cmath.exp(1j * theta))
-                    try:
-                        out = classify(p, a, b)
-                    except AmbiguousDecodeError:
-                        ambiguity_errors += 1
-                        continue
+                    pairs.append(build_red_noncoprime(p, i, cmath.exp(1j * theta)))
                     i_can, th_can = canonical_red_angle(p, i, theta)
-                    assert out.component.i == i_can, (m, n, i, theta)
-                    worst = max(worst, abs(out.coordinate - th_can))
+                    expected.append((Red(i_can), th_can))
+            out = _classify_arrays(p, *(quaternions(q) for q in zip(*pairs)), DEFAULT_TOL)
+            assert not np.isin(out.reason, (RELATION, PARITY)).any(), (m, n)
+            ambiguous = np.isin(out.reason, (AMBIGUOUS_A, AMBIGUOUS_B))
+            ambiguity_errors += int(ambiguous.sum())
+            for pos, (comp, coordinate) in enumerate(expected):
+                if ambiguous[pos]:
+                    continue
+                k, kp, node = int(out.k[pos]), int(out.kp[pos]), int(out.node[pos])
+                assert (Red(node) if out.reducible[pos] else Irr(k, kp)) == comp, (m, n, comp)
+                worst = max(worst, abs(float(out.coordinate[pos]) - coordinate))
     assert ambiguity_errors == 0, f"{ambiguity_errors} ambiguity errors"
     assert worst < 1e-8, f"worst coordinate error {worst}"
     return f"worst coordinate error {worst:.3e}, 0 ambiguity errors"

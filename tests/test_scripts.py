@@ -95,14 +95,14 @@ def verify_figures():
 
 def test_oracle_stages(verify_figures):
     assert list(verify_figures) == [
-        "draw loop", "replica", "indices left to numpy", "slow draws", "builders", "kernel",
+        "scalar stream", "replica", "slow indices", "scalar completion", "builders", "kernel",
         "array tally", "writer", "json bytes", "empirical_structure",
         "import tkchar.cli", "cli process", "cli exit", "cli peak RSS MiB",
     ]
     cfg = VERIFY_CFG
     fast = stream.replica(cfg.seed, range(300), *_stream_args(cfg))[0]
-    assert verify_figures["indices left to numpy"] == [int((~fast).sum())]
-    check_times(verify_figures, 300, derived=("slow draws", "array tally"))
+    assert verify_figures["slow indices"] == [int((~fast).sum())]
+    check_times(verify_figures, 300, derived=("scalar completion", "array tally"))
 
 
 def test_verify_scale(verify_figures):

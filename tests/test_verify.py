@@ -29,6 +29,7 @@ from tkchar.graph import _endpoint_rule, _sig12, build_graph, involution_twist
 from tkchar.reps import build_irr, build_red_noncoprime, character, cross_ratio_of_pair
 from tkchar.roots import RootOfUnity, root
 from tkchar.su2 import (
+    DEFAULT_TOL,
     UnitaryMatrix,
     conjugate_by,
     from_quaternion,
@@ -98,16 +99,18 @@ def haar(rng) -> UnitaryMatrix:
 
 class TestClassifyIrreducible:
     def test_round_trip_all_components_small_orders(self):
+        # classify's kernel on one batch per order
         for m in range(2, 9):
             for n in range(2, 9):
                 p = GroupParams(m, n)
-                for comp in enumerate_irr(p):
-                    for t in (0.1, 0.5, 0.9):
-                        a, b = build_irr(p, comp.k, comp.kp, t)
-                        out = classify(p, a, b)
-                        assert out.component == comp
-                        assert out.coordinate == pytest.approx(t, abs=1e-10)
-                        assert out.classification_residual < 1e-12
+                cases = [(comp, t) for comp in enumerate_irr(p) for t in (0.1, 0.5, 0.9)]
+                pairs = [build_irr(p, comp.k, comp.kp, t) for comp, t in cases]
+                out = _classify_arrays(p, *(columns(q) for q in zip(*pairs)), DEFAULT_TOL)
+                assert (out.reason == OK).all() and not out.reducible.any(), (m, n)
+                got = [Irr(k, kp) for k, kp in zip(out.k.tolist(), out.kp.tolist())]
+                assert got == [comp for comp, _ in cases], (m, n)
+                assert np.abs(out.coordinate - [t for _, t in cases]).max() <= 1e-10, (m, n)
+                assert out.residual.max() < 1e-12, (m, n)
 
     def test_invariant_under_conjugation(self):
         p = GroupParams(5, 4)
