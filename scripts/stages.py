@@ -22,9 +22,12 @@ verify mode, each stage over all verify.CHUNK-sized batches:
 
 Both modes: writer, the document's chunks drained into a file on /dev/null
 as the CLI writes them, and json bytes, its size with the final newline
-(it is ASCII); import tkchar.cli in a fresh interpreter; cli process, the
-whole `python3 -m tkchar graph|verify ...` to /dev/null, with its ru_maxrss
-and, for verify, its exit code (1 when a flag is false, for example
+(it is ASCII); the start-up floor, each a fresh interpreter: python -c
+pass, import numpy, import tkchar.cli (the standard library and argparse
+only) and import tkchar.cli, tkchar.graph|verify (what the subcommand
+loads before it runs); cli process, the whole `python3 -m tkchar
+graph|verify ...` to /dev/null, with its ru_maxrss and, for verify, its
+exit code (1 when a flag is false, for example
 "components" when COUNT is below the component count: reported, not
 refused).  REAPER, a small intermediate interpreter, starts the CLI and
 reaps it with wait4: a child started with vfork/exec begins with its
@@ -147,7 +150,9 @@ def one_round(args: argparse.Namespace) -> dict[str, float]:
     else:
         t = verify_stages(SampleConfig(params=p, sample_count=args.samples, seed=args.seed))
         cli += ("-N", str(args.samples), "--seed", str(args.seed))
-    t["import tkchar.cli"] = timed(python, "-c", "import tkchar.cli")[0]
+    for source in ("pass", "import numpy", "import tkchar.cli",
+                   f"import tkchar.cli, tkchar.{args.mode}"):
+        t["python -c pass" if source == "pass" else source] = timed(python, "-c", source)[0]
     t["cli process"], maxrss_kib, code = json.loads(python("-c", REAPER, *cli))
     if code != 0 and (args.mode, code) != ("verify", 1):
         sys.exit(f"{cli} exited {code}")
@@ -176,13 +181,13 @@ def main() -> None:
         unit, items, run = "sample", args.samples, f", N = {args.samples}, seed {args.seed}"
     print(f"# {args.mode} (m, n) = ({args.m}, {args.n}){run}, {arcs} arcs, "
           f"median of {args.rounds} rounds")
-    print(f"{'figure':<24} {'value':>12} {'us/' + unit:>10}")
+    print(f"{'figure':<32} {'value':>12} {'us/' + unit:>10}")
     for name in rounds[0]:
         median = statistics.median(r[name] for r in rounds)
         if name in COUNTS:
-            print(f"{name:<24} {COUNTS[name].format(median):>12}")
+            print(f"{name:<32} {COUNTS[name].format(median):>12}")
         else:
-            print(f"{name:<24} {median:>12.4f} {1e6 * median / items:>10.2f}")
+            print(f"{name:<32} {median:>12.4f} {1e6 * median / items:>10.2f}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 Subcommands: components (enumerate with topology labels), graph (JSON, DOT
 or SVG serialization of the incidence graph), rep (build explicit matrices
 and print characters), verify (run the sampling oracle and report, for a
-seed in [0, 2**64) and at most 2**32 irreducible components).
+seed in [0, 2**64) and at most 2**32 irreducible components).  Each
+subcommand imports its own modules when it runs, so this module loads only
+the standard library, and --help and usage errors exit before numpy loads.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
 an -o path or a stdout that cannot be written, such as a closed pipe or a
@@ -20,11 +22,6 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable
-
-from .components import GroupParams, count_irr, enumerate_irr, enumerate_red, irr_info
-from .graph import build_graph, json_chunks, to_dot, to_svg_schematic
-from .roots import root
-from .su2 import DEFAULT_TOL, check_tol, trace
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -67,6 +64,9 @@ def _fmt_matrix(name: str, mat) -> str:
 
 
 def cmd_components(args: argparse.Namespace, tol: float) -> int:
+    from .components import GroupParams, count_irr, enumerate_irr, enumerate_red, irr_info
+    from .graph import build_graph, json_chunks
+
     p = GroupParams(args.m, args.n)
     if args.format == "json":
         _emit(json_chunks(build_graph(p)), args.output)
@@ -93,6 +93,9 @@ def cmd_components(args: argparse.Namespace, tol: float) -> int:
 
 
 def cmd_graph(args: argparse.Namespace, tol: float) -> int:
+    from .components import GroupParams
+    from .graph import build_graph, json_chunks, to_dot, to_svg_schematic
+
     g = build_graph(GroupParams(args.m, args.n))
     if args.format == "json":
         _emit(json_chunks(g), args.output)
@@ -103,7 +106,10 @@ def cmd_graph(args: argparse.Namespace, tol: float) -> int:
 
 
 def cmd_rep(args: argparse.Namespace, tol: float) -> int:
+    from .components import GroupParams
     from .reps import DEFAULT_WORDS, Word, build_irr, build_red_noncoprime, evaluate_word
+    from .roots import root
+    from .su2 import trace
 
     p = GroupParams(args.m, args.n)
     words = DEFAULT_WORDS
@@ -135,6 +141,7 @@ def cmd_rep(args: argparse.Namespace, tol: float) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, tol: float) -> int:
+    from .components import GroupParams
     from .verify import SampleConfig, empirical_structure, summary_chunks
 
     cfg = SampleConfig(
@@ -199,6 +206,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    from .su2 import DEFAULT_TOL, check_tol
+
     raw_tol = os.environ.get("TKCHAR_TOL")
     try:
         tol = float(raw_tol) if raw_tol is not None else DEFAULT_TOL

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-import tkchar.cli
+import tkchar.graph
 import tkchar.verify
 from tkchar.cli import main
 
@@ -77,7 +77,7 @@ class TestGraph:
         def refuse(p):
             raise MemoryError()
 
-        monkeypatch.setattr(tkchar.cli, "build_graph", refuse)
+        monkeypatch.setattr(tkchar.graph, "build_graph", refuse)
         code, out, err = run(capsys, "graph", "-m", "1000000000000", "-n", "3")
         assert (code, out, err) == (2, "", "error: out of memory\n")
 
@@ -411,7 +411,7 @@ class TestPlumbing:
     )
     def test_non_finite_graph_refused_before_writing(self, tmp_path, capsys, monkeypatch, argv, to_file):
         # the streamed document is refused whole: no partial stdout, no file
-        build = tkchar.cli.build_graph
+        build = tkchar.graph.build_graph
 
         def nan_graph(p):
             g = build(p)
@@ -419,7 +419,7 @@ class TestPlumbing:
             s_real[-1, 1] = np.nan
             return dataclasses.replace(g, s_real=s_real)
 
-        monkeypatch.setattr(tkchar.cli, "build_graph", nan_graph)
+        monkeypatch.setattr(tkchar.graph, "build_graph", nan_graph)
         target = tmp_path / "g.json"
         code, out, err = run(capsys, *argv, *(("-o", str(target)) if to_file else ()))
         assert code == 2 and out == ""

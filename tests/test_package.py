@@ -56,6 +56,37 @@ def test_verify_loads_no_json():
     assert proc.stderr.split() == ["0", "False"]
 
 
+def loaded_after(source):
+    """The numpy and tkchar modules loaded by source in a fresh interpreter,
+    and what it prints to stderr."""
+    proc = run_python(
+        f"{source}\n"
+        "import sys\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'tkchar')))\n"
+    )
+    return proc.stdout.split(), proc.stderr
+
+
+def test_import_cli_loads_only_the_standard_library():
+    assert loaded_after("import tkchar.cli")[0] == ["tkchar", "tkchar.cli"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [(["--help"], 0, ""), (["graph", "-m", "4"], 2, "the following arguments are required: -n")],
+    ids=["help", "usage-error"],
+)
+def test_cli_exits_before_loading_numpy(argv, code, stderr):
+    loaded, err = loaded_after(
+        "import contextlib, io\n"
+        "from tkchar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {code}\n"
+    )
+    assert loaded == ["tkchar", "tkchar.cli"]
+    assert stderr in err
+
+
 def test_import_loads_no_submodule():
     proc = run_python(
         "import sys, tkchar; print(sorted(m for m in sys.modules if m.startswith('tkchar')))"

@@ -56,7 +56,7 @@ def run_stages(comment, *argv):
     assert header.split() == ["figure", "value", "us/arc" if argv[0] == "graph" else "us/sample"]
     figures = {}
     for row in rows:
-        figures[row[:24].rstrip()] = [float(column) for column in row[24:].split()]
+        figures[row[:32].rstrip()] = [float(column) for column in row[32:].split()]
     return figures
 
 
@@ -75,8 +75,8 @@ def test_graph_stages():
     comment = "# graph (m, n) = (20, 30), 276 arcs, median of 1 rounds"
     figures = run_stages(comment, "graph", "-m", "20", "-n", "30")
     assert list(figures) == [
-        "build_graph", "writer", "json bytes", "import tkchar.cli", "cli process",
-        "cli peak RSS MiB",
+        "build_graph", "writer", "json bytes", "python -c pass", "import numpy",
+        "import tkchar.cli", "import tkchar.cli, tkchar.graph", "cli process", "cli peak RSS MiB",
     ]
     g = build_graph(GroupParams(20, 30))
     assert figures["json bytes"] == [len(to_json(g)) + 1]
@@ -97,7 +97,8 @@ def test_oracle_stages(verify_figures):
     assert list(verify_figures) == [
         "scalar stream", "replica", "slow indices", "scalar completion", "builders", "kernel",
         "array tally", "writer", "json bytes", "empirical_structure",
-        "import tkchar.cli", "cli process", "cli exit", "cli peak RSS MiB",
+        "python -c pass", "import numpy", "import tkchar.cli", "import tkchar.cli, tkchar.verify",
+        "cli process", "cli exit", "cli peak RSS MiB",
     ]
     cfg = VERIFY_CFG
     fast = stream.replica(cfg.seed, range(300), *_stream_args(cfg))[0]
