@@ -14,11 +14,18 @@ verify mode, each stage over all verify.CHUNK-sized batches:
   and the guards (derived);
 - builders: `_build_arrays` on the completed draws;
 - kernel: `_classify_arrays` on the builders' pairs;
-- array tally: `empirical_structure` minus replica, scalar completion, builders
-  and kernel, i.e. the expected arc ends (`components.attachment_nodes`
-  over the cached label table), the count, maximum and vote arrays and
-  each arc end's winner (derived);
-- writer and json bytes (below); empirical_structure: the whole call.
+- array tally: `empirical_structure` with one worker minus replica,
+  scalar completion, builders and kernel, i.e. the expected arc ends
+  (`components.attachment_nodes` over the cached label table), the count,
+  maximum and vote arrays and each arc end's winner (derived);
+- writer and json bytes (below);
+- workers: W, the runs `empirical_structure` splits its chunks into
+  (`verify._runs`: one per CPU of this process's affinity, at most one per
+  chunk), all but the first tallied in forked workers;
+- empirical_structure: the whole call as it runs, with W workers, and
+  empirical_structure, 1 worker: the call with its chunks in one run in
+  this process, as the stages above run them, so the two give the
+  speedup of the workers.
 
 Both modes: writer, the document's chunks drained into a file on /dev/null
 as the CLI writes them, and json bytes, its size with the final newline
@@ -32,7 +39,9 @@ exit code (1 when a flag is false, for example
 refused).  REAPER, a small intermediate interpreter, starts the CLI and
 reaps it with wait4: a child started with vfork/exec begins with its
 parent's peak RSS as its own, and this process holds the graph or the
-summary, and numpy.
+summary, and numpy.  The peak RSS covers verify's workers too: wait4
+folds the largest peak of the descendants the CLI has waited for into
+its ru_maxrss, so it is the largest of the CLI's and its workers' peaks.
 
 Each round runs every stage once, in that order, so drift of the host hits
 all stages alike; the figures are medians over --rounds rounds, after one
@@ -57,7 +66,7 @@ import time
 from pathlib import Path
 
 import tkchar
-from tkchar import stream
+from tkchar import stream, verify
 from tkchar.components import GroupParams, count_irr
 from tkchar.graph import build_graph, json_chunks
 from tkchar.verify import (
@@ -65,6 +74,7 @@ from tkchar.verify import (
     SampleConfig,
     _build_arrays,
     _classify_arrays,
+    _runs,
     _stream_args,
     empirical_structure,
     summary_chunks,
@@ -72,8 +82,8 @@ from tkchar.verify import (
 
 SRC = str(Path(tkchar.__file__).resolve().parent.parent)
 # figures that are not seconds, with their format; they have no per-item column
-COUNTS = {"slow indices": "{:.0f}", "json bytes": "{:.0f}", "cli exit": "{:.0f}",
-          "cli peak RSS MiB": "{:.1f}"}
+COUNTS = {"slow indices": "{:.0f}", "json bytes": "{:.0f}", "workers": "{:.0f}",
+          "cli exit": "{:.0f}", "cli peak RSS MiB": "{:.1f}"}
 
 # Runs argv[1:] with stdout on /dev/null, prints [wall s, ru_maxrss KiB,
 # exit code].
@@ -122,6 +132,16 @@ def graph_stages(p: GroupParams) -> dict[str, float]:
     return t
 
 
+def one_worker(cfg: SampleConfig):
+    """empirical_structure with its chunks in one run, in this process."""
+    cpus = verify._cpus
+    verify._cpus = lambda: 1
+    try:
+        return empirical_structure(cfg)
+    finally:
+        verify._cpus = cpus
+
+
 def verify_stages(cfg: SampleConfig) -> dict[str, float]:
     p, count = cfg.params, cfg.sample_count
     chunks = [range(s, min(s + CHUNK, count)) for s in range(0, count, CHUNK)]
@@ -133,11 +153,14 @@ def verify_stages(cfg: SampleConfig) -> dict[str, float]:
     t["scalar completion"] = stream_s - t["replica"]
     t["builders"], pairs = timed(lambda: [_build_arrays(p, *d) for d in draws])
     t["kernel"] = timed(lambda: [_classify_arrays(p, a, b, cfg.tol) for a, b in pairs])[0]
-    total, summary = timed(empirical_structure, cfg)
+    serial = timed(one_worker, cfg)[0]
     staged = ("replica", "scalar completion", "builders", "kernel")
-    t["array tally"] = total - sum(t[s] for s in staged)
+    t["array tally"] = serial - sum(t[s] for s in staged)
+    total, summary = timed(empirical_structure, cfg)
     t["writer"], t["json bytes"] = timed(drain, summary_chunks(summary))
+    t["workers"] = len(_runs(count))
     t["empirical_structure"] = total
+    t["empirical_structure, 1 worker"] = serial
     return t
 
 

@@ -41,6 +41,15 @@ bit, so no per-sample Python call is left on the draw and build path
 beyond the stream's slow draws, which it completes in Python ints, and the
 math functions numpy rounds differently.
 
+The chunks run on every CPU the process may use: _runs splits them into
+W = min(len(os.sched_getaffinity(0)), chunks) contiguous runs of whole
+chunks, so taskset sets W.  This process tallies the first run and a
+forked worker each other one (_fork_map), which sends its part, O(its
+samples + its vote cells + d), through a pipe; the parts merge in index
+order.  Every index keeps its draws, guard and completion, so the bytes do
+not depend on W.  A run of N <= CHUNK samples, a single CPU, or a platform
+without os.fork or os.sched_getaffinity gives W = 1: one run, no fork.
+
 The tally and the summary are arrays too, with no Python object per arc:
 counts per node and per arc, running maxima (the residuals are >= 0, so
 the order does not matter) and sparse vote cells (arc, side, node), each
@@ -60,9 +69,12 @@ import cmath
 import functools
 import itertools
 import math
+import os
+import pickle
 from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NoReturn
 
 import numpy as np
 
@@ -505,14 +517,13 @@ def _decimal_rank(size: int) -> np.ndarray:
 
 
 def _add_votes(
-    votes: tuple[np.ndarray, np.ndarray, np.ndarray], cells: np.ndarray, index: np.ndarray
+    votes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    more: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """votes (cell, first, count), sorted by cell, with one more vote for
-    each of cells, cast by the samples index, which come after every vote
-    in votes: count the votes per cell and first the smallest index."""
-    cell, first, count = (
-        np.concatenate(pair) for pair in zip(votes, (cells, index, np.ones_like(cells)))
-    )
+    """votes (cell, first, count), sorted by cell, merged with more, cast
+    by samples that come after every vote in votes: counts add per cell,
+    and first is the smallest index."""
+    cell, first, count = (np.concatenate(pair) for pair in zip(votes, more))
     cell, where, inverse = np.unique(cell, return_index=True, return_inverse=True)
     total = np.zeros(cell.size, dtype=np.int64)
     np.add.at(total, inverse, count)
@@ -573,34 +584,52 @@ class Summary:
         return all(self.flags.values())
 
 
-def empirical_structure(cfg: SampleConfig) -> Summary:
-    """Sample, classify, and compare observed structure with the closed form.
+def _cpus() -> int:
+    """The CPUs this process may run on, its affinity mask (which taskset
+    sets); 1 where os.fork or os.sched_getaffinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
-    Near-limit irreducible samples (t < 0.02 or t > 0.98) vote for the
-    reducible component they approach: the kernel decodes their limit
-    eigenvalue pair, exact in t, as it decodes reducible pairs.  The votes
-    reconstruct the arc endpoints empirically; agreement with the closed
-    form (components.attachment_nodes) is reported per arc.  decode_errors
-    counts the samples whose reason is not OK.
 
-    The samples go through the batched pipeline CHUNK at a time into array
-    tallies: counts per node and per arc, running maxima and vote cells,
-    with the summary a loop over sample_pair and classify would give.
-    """
+def _runs(sample_count: int) -> list[range]:
+    """The starts of the CHUNK-sized chunks of range(sample_count) in
+    W = min(_cpus(), chunks) contiguous runs of whole chunks, the later
+    runs the longer by one where they cannot be equal."""
+    starts = range(0, sample_count, CHUNK)
+    w = min(_cpus(), len(starts))
+    return [starts[len(starts) * i // w : len(starts) * (i + 1) // w] for i in range(w)]
+
+
+@dataclass(frozen=True, eq=False)
+class _Part:
+    """The tally of one run of chunks: counts per node, the arcs with
+    samples and their counts, the largest residuals, the count of refused
+    samples and the vote cells (cell, first, count), sorted by cell.  It is
+    O(samples + cells + d), never O(arcs), as it is what a worker sends."""
+
+    red_counts: np.ndarray
+    arcs: np.ndarray
+    arc_counts: np.ndarray
+    max_relation: float
+    max_classification: float
+    decode_errors: int
+    votes: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _tally(cfg: SampleConfig, arcs: int, rank: np.ndarray, starts: range) -> _Part:
+    """The samples of the chunks at starts through the batched pipeline
+    into a _Part; rank is _decimal_rank of the node count."""
     p = cfg.params
-    k, kp = _irr_tables(p)[:2]
-    _, expected = attachment_nodes(p, k, kp)
-    k.flags.writeable = kp.flags.writeable = expected.flags.writeable = False
-    nodes = p.d // 2 + 1
-    rank = _decimal_rank(nodes)
+    nodes = len(rank)
     red_counts = np.zeros(nodes, dtype=np.int64)
-    irr_counts = np.zeros(len(k), dtype=np.int64)
+    irr_counts = np.zeros(arcs, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
     votes = (empty, empty, empty)
     max_relation = max_classification = 0.0
     decode_errors = 0
 
-    for start in range(0, cfg.sample_count, CHUNK):
+    for start in starts:
         indices = range(start, min(start + CHUNK, cfg.sample_count))
         draws = stream.draws(cfg.seed, indices, *_stream_args(cfg))
         out = _classify_arrays(p, *_build_arrays(p, *draws), cfg.tol)
@@ -620,7 +649,125 @@ def empirical_structure(cfg: SampleConfig) -> Summary:
         vote = np.flatnonzero(irr & ~((0.02 <= t) & (t <= 0.98)))
         side = np.where(t[vote] < 0.02, 0, 1)
         cells = (2 * arc[vote] + side) * nodes + rank[out.node[vote]]
-        votes = _add_votes(votes, cells, start + vote)
+        votes = _add_votes(votes, (cells, start + vote, np.ones_like(cells)))
+
+    hit = np.flatnonzero(irr_counts)
+    return _Part(
+        red_counts, hit, irr_counts[hit], max_relation, max_classification, decode_errors, votes
+    )
+
+
+def _fork_map(f, items: list) -> list:
+    """[f(x) for x in items]: items[0] in this process, every other item
+    in a forked worker that sends f's value, or the exception it raised,
+    through a pipe.  The values are read in order, and the first exception
+    is raised here with its type and message.  On any exception, here or
+    in a worker, the workers still running are killed, and every worker is
+    reaped before this returns or raises."""
+    if len(items) == 1:
+        return [f(items[0])]
+    pids: list[int] = []  # the workers not yet reaped
+    fds: list[int] = []  # the read ends of their pipes
+    try:
+        for x in items[1:]:
+            r, w = os.pipe()
+            fds.append(r)
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(w)
+                raise
+            if pid == 0:
+                _worker(f, x, w, fds)
+            os.close(w)
+            pids.append(pid)
+        values = [f(items[0])]
+        for r in fds:
+            data = b"".join(iter(functools.partial(os.read, r, 1 << 16), b""))
+            _, status = os.waitpid(pids[0], 0)
+            pids.pop(0)
+            if not data:
+                raise RuntimeError(
+                    f"a verify worker exited with code {os.waitstatus_to_exitcode(status)} "
+                    "and sent no result"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            values.append(value)
+        return values
+    finally:
+        if pids:
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            for pid in pids:
+                os.waitpid(pid, 0)
+        for r in fds:
+            os.close(r)
+
+
+def _worker(f, x, w: int, fds: list[int]) -> NoReturn:
+    """A forked worker of _fork_map: (True, f(x)), or (False, the exception
+    it raised), pickled into the pipe's write end w.  It leaves only by
+    os._exit, so it flushes no stdio buffer it inherited and runs no
+    atexit hook nor any finally block of the stack it was forked from."""
+    code = 1
+    try:
+        for r in fds:
+            os.close(r)
+        try:
+            message = pickle.dumps((True, f(x)))
+        except BaseException as exc:
+            message = pickle.dumps((False, exc))
+        with open(w, "wb") as pipe:
+            pipe.write(message)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def empirical_structure(cfg: SampleConfig) -> Summary:
+    """Sample, classify, and compare observed structure with the closed form.
+
+    Near-limit irreducible samples (t < 0.02 or t > 0.98) vote for the
+    reducible component they approach: the kernel decodes their limit
+    eigenvalue pair, exact in t, as it decodes reducible pairs.  The votes
+    reconstruct the arc endpoints empirically; agreement with the closed
+    form (components.attachment_nodes) is reported per arc.  decode_errors
+    counts the samples whose reason is not OK.
+
+    The samples go through the batched pipeline CHUNK at a time into array
+    tallies: counts per node and per arc, running maxima and vote cells,
+    with the summary a loop over sample_pair and classify would give.  The
+    chunks are split into _runs, one per CPU; the first run is tallied in
+    this process and each other in a forked worker (_fork_map), and the
+    parts are merged in index order: counts add, maxima combine as the
+    running maximum does and vote cells keep their first index, so the
+    summary does not depend on the number of runs.
+    """
+    p = cfg.params
+    k, kp = _irr_tables(p)[:2]
+    _, expected = attachment_nodes(p, k, kp)
+    k.flags.writeable = kp.flags.writeable = expected.flags.writeable = False
+    nodes = p.d // 2 + 1
+    rank = _decimal_rank(nodes)
+    red_counts = np.zeros(nodes, dtype=np.int64)
+    irr_counts = np.zeros(len(k), dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    votes = (empty, empty, empty)
+    max_relation = max_classification = 0.0
+    decode_errors = 0
+
+    for part in _fork_map(functools.partial(_tally, cfg, len(k), rank), _runs(cfg.sample_count)):
+        red_counts += part.red_counts
+        irr_counts[part.arcs] += part.arc_counts
+        # np.maximum, not max(): a NaN carries through, as in the running maximum
+        max_relation = np.maximum(max_relation, part.max_relation)
+        max_classification = np.maximum(max_classification, part.max_classification)
+        decode_errors += part.decode_errors
+        votes = _add_votes(votes, part.votes)
 
     cell, first, count = votes
     group, node = np.divmod(cell, nodes)

@@ -96,13 +96,15 @@ def verify_figures():
 def test_oracle_stages(verify_figures):
     assert list(verify_figures) == [
         "scalar stream", "replica", "slow indices", "scalar completion", "builders", "kernel",
-        "array tally", "writer", "json bytes", "empirical_structure",
+        "array tally", "writer", "json bytes", "workers", "empirical_structure",
+        "empirical_structure, 1 worker",
         "python -c pass", "import numpy", "import tkchar.cli", "import tkchar.cli, tkchar.verify",
         "cli process", "cli exit", "cli peak RSS MiB",
     ]
     cfg = VERIFY_CFG
     fast = stream.replica(cfg.seed, range(300), *_stream_args(cfg))[0]
     assert verify_figures["slow indices"] == [int((~fast).sum())]
+    assert verify_figures["workers"] == [1]  # 300 samples are one chunk
     check_times(verify_figures, 300, derived=("scalar completion", "array tally"))
 
 

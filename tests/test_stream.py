@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tkchar.verify
 from tkchar import stream
 from tkchar.components import GroupParams
 from tkchar.stream import GUARD, _bits
@@ -311,7 +312,9 @@ def test_fallback_alone_gives_the_same_bytes(monkeypatch):
 @pytest.mark.parametrize("m, n", [(4, 6), (30, 45)])
 def test_draw_calls_bounded(monkeypatch, m, n):
     # stream.draw covers only the guards: the first fast and the first slow
-    # index of each GUARD block
+    # index of each GUARD block.  The count sees this process alone, so one
+    # worker: with two, a worker's calls would go uncounted
+    monkeypatch.setattr(tkchar.verify, "_cpus", lambda: 1)
     calls = []
     real = stream.draw
 

@@ -5,6 +5,8 @@ import cmath
 import dataclasses
 import json
 import math
+import os
+import time
 from collections import Counter
 
 import mpmath
@@ -67,6 +69,12 @@ from tkchar.verify import (
     summary_chunks,
     summary_to_json,
 )
+
+
+def use_cpus(monkeypatch, cpus: int) -> None:
+    """Make empirical_structure see cpus CPUs, so that it splits its chunks
+    into min(cpus, chunks) runs (verify._runs)."""
+    monkeypatch.setattr(tkchar.verify, "_cpus", lambda: cpus)
 
 
 def bits(values) -> list[int]:
@@ -724,10 +732,15 @@ class TestBatchedOracle:
         s = empirical_structure(SampleConfig(params=GroupParams(4, 6), sample_count=300, seed=1))
         assert s.ok is True
 
-    def test_memory_bounded_by_chunk(self):
-        # peak traced memory does not grow with the sample count
+    def test_memory_bounded_by_chunk(self, monkeypatch):
+        # peak traced memory does not grow with the sample count.  tracemalloc
+        # sees this process alone, so one worker: with two, this process
+        # would tally 1 chunk at 2*CHUNK and 2 at 5*CHUNK, and a run of one
+        # chunk peaks lower than a longer one, whose previous chunk's arrays
+        # are alive while the next is built
         import tracemalloc
 
+        use_cpus(monkeypatch, 1)
         p = GroupParams(4, 6)
         empirical_structure(SampleConfig(params=p, sample_count=10, seed=1))  # per-order tables
         peaks = []
@@ -740,6 +753,169 @@ class TestBatchedOracle:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def assert_no_child() -> None:
+    """Every worker has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """empirical_structure split into runs of whole chunks, all but the
+    first tallied in forked workers: the same bytes at every worker count,
+    a worker's exception raised here, and no worker left behind."""
+
+    @pytest.mark.parametrize(
+        "m, n, count, seed, tol, chunk",
+        [
+            (4, 6, 20_000, 1, DEFAULT_TOL, CHUNK),
+            # the Lemire retry of tests/test_stream.py::test_retry_at_verify_30_45
+            (30, 45, 16_000, 2395, DEFAULT_TOL, CHUNK),
+            (12, 18, 600, 4, DEFAULT_TOL, 7),
+            # samples fail to decode, so the flags are false
+            (12, 18, 3 * CHUNK + 5, 1, 1e-18, CHUNK),
+            # one chunk: one run at any CPU count, and no fork
+            (4, 6, CHUNK, 1, DEFAULT_TOL, CHUNK),
+        ],
+    )
+    def test_bytes_do_not_depend_on_workers(self, monkeypatch, m, n, count, seed, tol, chunk):
+        monkeypatch.setattr(tkchar.verify, "CHUNK", chunk)
+        cfg = SampleConfig(params=GroupParams(m, n), sample_count=count, seed=seed, tol=tol)
+        chunks = -(-count // chunk)
+        if chunks == 1:
+            monkeypatch.setattr(os, "fork", None)
+        documents = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            assert len(tkchar.verify._runs(count)) == min(cpus, chunks)
+            summary = empirical_structure(cfg)
+            documents.append(summary_to_json(summary))
+        assert documents[1] == documents[0]
+        assert documents[2] == documents[0]
+        if tol == 1e-18:
+            assert summary.decode_errors > 0 and summary.flags["residuals"] is False
+        assert_no_child()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 11])
+    def test_runs_are_whole_chunks_in_order(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        count = 10 * CHUNK + 1
+        runs = tkchar.verify._runs(count)
+        assert len(runs) == min(cpus, 11)
+        assert [start for run in runs for start in run] == list(range(0, count, CHUNK))
+        sizes = [len(run) for run in runs]
+        assert sizes == sorted(sizes) and sizes[-1] - sizes[0] <= 1
+
+    # N = 5*CHUNK + 100: the last chunk, of 100 samples, is in the last
+    # run at every worker count, so the same sample fails at each
+    COUNT = 5 * CHUNK + 100
+
+    def failing_builder(self, monkeypatch, error):
+        """_build_arrays that raises error on the last chunk."""
+        real = tkchar.verify._build_arrays
+
+        def failing(p, reducible, *draws):
+            if reducible.size == 100:
+                raise error
+            return real(p, reducible, *draws)
+
+        monkeypatch.setattr(tkchar.verify, "_build_arrays", failing)
+
+    def corrupt_guard(self, monkeypatch):
+        """A replica that differs from draw() at a guarded index of the last run."""
+        cfg = SampleConfig(params=GroupParams(4, 6), sample_count=self.COUNT, seed=1)
+        last = range(5 * CHUNK, self.COUNT)
+        fast = stream.replica(cfg.seed, last, *_stream_args(cfg))[0]
+        target = last[int(np.flatnonzero(fast)[0])]
+        real = stream.replica
+
+        def corrupted(seed, indices, *args):
+            fast, reducible, j, u, g, seeded = real(seed, indices, *args)
+            if target in indices:
+                u[target - indices.start] = np.nextafter(u[target - indices.start], 1.0)
+            return fast, reducible, j, u, g, seeded
+
+        monkeypatch.setattr(stream, "replica", corrupted)
+
+    @pytest.mark.parametrize(
+        "error",
+        [ValueError("zero-norm quaternion"), MemoryError(), "guard"],
+        ids=["ValueError", "MemoryError", "guard"],
+    )
+    def test_worker_error_raised_here(self, monkeypatch, capfd, error):
+        if error == "guard":
+            self.corrupt_guard(monkeypatch)
+        else:
+            self.failing_builder(monkeypatch, error)
+        cfg = SampleConfig(params=GroupParams(4, 6), sample_count=self.COUNT, seed=1)
+        raised = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(Exception) as exc:
+                empirical_structure(cfg)
+            raised.append((type(exc.value), str(exc.value)))
+            assert_no_child()
+        assert raised[1] == raised[0] and raised[2] == raised[0]
+        if error == "guard":
+            assert raised[0][0] is RuntimeError and "default_rng" in raised[0][1]
+        else:
+            assert raised[0] == (type(error), str(error))
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("error", [ValueError("zero-norm quaternion"), MemoryError()])
+    def test_cli_error_line_does_not_depend_on_workers(self, monkeypatch, capfd, error):
+        from tkchar.cli import main
+
+        self.failing_builder(monkeypatch, error)
+        argv = ["verify", "-m", "4", "-n", "6", "-N", str(self.COUNT), "--seed", "1"]
+        results = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            code = main(argv)
+            results.append((code, *capfd.readouterr()))
+            assert_no_child()
+        assert results[0] == (2, "", f"error: {str(error) or 'out of memory'}\n")
+        assert results[1] == results[0]
+
+    def test_worker_without_result(self, monkeypatch):
+        real = tkchar.verify._build_arrays
+        parent = os.getpid()
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(tkchar.verify, "_build_arrays", dying)
+        use_cpus(monkeypatch, 2)
+        cfg = SampleConfig(params=GroupParams(4, 6), sample_count=self.COUNT, seed=1)
+        with pytest.raises(RuntimeError, match="exited with code 3 and sent no result"):
+            empirical_structure(cfg)
+        assert_no_child()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+    def test_error_here_kills_the_workers(self, monkeypatch, error):
+        # the workers would sleep for a minute; an error in this process's
+        # run kills them at once, and reaps them
+        real = tkchar.verify._build_arrays
+        parent = os.getpid()
+
+        def builder(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            else:
+                raise error("stop")
+            return real(*args)
+
+        monkeypatch.setattr(tkchar.verify, "_build_arrays", builder)
+        use_cpus(monkeypatch, 3)
+        cfg = SampleConfig(params=GroupParams(4, 6), sample_count=self.COUNT, seed=1)
+        start = time.perf_counter()
+        with pytest.raises(error, match="stop"):
+            empirical_structure(cfg)
+        assert time.perf_counter() - start < 30
+        assert_no_child()
 
 
 def _round_floats(obj):
@@ -905,19 +1081,27 @@ class TestSummaryWriter:
     @given(
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=60),
         st.integers(1, 7),
+        st.integers(0, 60),
     )
-    def test_leaders_pick_most_common(self, votes, split):
-        # (group, node) votes in index order, cast split at a time: the
+    def test_leaders_pick_most_common(self, votes, split, cut):
+        # (group, node) votes in index order, cast split at a time into two
+        # runs, the second from the vote at cut on, whose cells are then
+        # merged as empirical_structure merges its workers' parts: the
         # array winner of each group is Counter.most_common(1)'s
         tallies: dict[int, Counter] = {}
         for group, node in votes:
             tallies.setdefault(group, Counter())[node] += 1
         empty = np.zeros(0, dtype=np.int64)
-        state = (empty, empty, empty)
-        for start in range(0, len(votes), split):
-            part = votes[start : start + split]
-            cells = np.array([5 * group + node for group, node in part], dtype=np.int64)
-            state = _add_votes(state, cells, np.arange(start, start + len(part)))
+        runs = []
+        for lo, hi in ((0, min(cut, len(votes))), (min(cut, len(votes)), len(votes))):
+            run = (empty, empty, empty)
+            for start in range(lo, hi, split):
+                part = votes[start : min(start + split, hi)]
+                cells = np.array([5 * group + node for group, node in part], dtype=np.int64)
+                index = np.arange(start, start + len(part))
+                run = _add_votes(run, (cells, index, np.ones_like(cells)))
+            runs.append(run)
+        state = _add_votes(*runs)
         cell, first, count = state
         group, node = np.divmod(cell, 5)
         assert dict(zip(zip(group.tolist(), node.tolist()), count.tolist())) == {
