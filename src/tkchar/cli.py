@@ -113,7 +113,7 @@ def cmd_rep(args: argparse.Namespace, tol: float) -> int:
 
     p = GroupParams(args.m, args.n)
     words = DEFAULT_WORDS
-    if args.words:
+    if args.words is not None:
         words = tuple(Word.parse(chunk) for chunk in args.words.split(",") if chunk)
         if not words:
             raise ValueError("empty word list")

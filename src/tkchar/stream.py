@@ -30,7 +30,10 @@ SEEDS = 2**64 and K up to K_MAX = 2**32, which verify.SampleConfig
 enforces: past them numpy hashes more entropy words or draws integers(0, K)
 on its 64-bit path.  In every block of GUARD indices draws() draws the
 first fast and the first slow index again with draw(), so the array
-replica and the scalar definition cannot part without it raising.
+replica and the scalar definition cannot part without it raising.  A slow
+index goes through the same _complete on both sides, so the guard checks
+the seeding and the hand-off of the seeded state, not _complete itself;
+only tests/test_stream.py pins _complete (and all of draw()) to numpy.
 """
 
 from __future__ import annotations

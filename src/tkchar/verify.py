@@ -53,12 +53,13 @@ without os.fork or os.sched_getaffinity gives W = 1: one run, no fork.
 The tally and the summary are arrays too, with no Python object per arc:
 counts per node and per arc, running maxima (the residuals are >= 0, so
 the order does not matter) and sparse vote cells (arc, side, node), each
-with its count and first sample index.  An arc end's winner is the cell
-with the most votes, ties going to the earliest first vote, which is what
-Counter.most_common(1) picks when votes are counted one sample at a time.
-summary_chunks writes the "tkchar-verify/1" document from these arrays
-with %-templates, in chunks, its keys sorted as strings as
-json.dumps(sort_keys=True) sorts them.  It is the one definition of that
+with its count and first sample index, keyed and sorted by node id.  An
+arc end's winner is the cell with the most votes, ties going to the
+earliest first vote, which is what Counter.most_common(1) picks when votes
+are counted one sample at a time.  summary_chunks writes the
+"tkchar-verify/1" document from these arrays with %-templates, in chunks;
+it alone sorts keys as strings, as json.dumps(sort_keys=True) sorts them
+(_decimal_rank: "red:10" before "red:2").  It is the one definition of that
 document; its lists go through graph._json_block, the list writer of the
 "tkchar-graph/1" document too, graph.CHUNK items at a time.
 """
@@ -497,25 +498,6 @@ def find_conjugator(
     return conj
 
 
-def _decimal_order(size: int) -> np.ndarray:
-    """0 .. size - 1 (size >= 1) in the order of their decimal strings
-    ("10" before "2"), as sort_keys sorts them: by the digits padded on
-    the right, then shorter first."""
-    x = np.arange(size)
-    digits, power = np.ones(size, dtype=np.int64), 10
-    while power < size:
-        digits += x >= power
-        power *= 10
-    return np.lexsort((digits, x * 10 ** (digits[-1] - digits)))
-
-
-def _decimal_rank(size: int) -> np.ndarray:
-    """rank[i] is the place of i in _decimal_order(size)."""
-    rank = np.empty(size, dtype=np.int64)
-    rank[_decimal_order(size)] = np.arange(size)
-    return rank
-
-
 def _add_votes(
     votes: tuple[np.ndarray, np.ndarray, np.ndarray],
     more: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -548,7 +530,7 @@ class Summary:
     arc; max_relation and max_classification are the largest residuals and
     decode_errors the count of refused samples.  The near-limit votes are
     cells (vote_group, vote_node, vote_count): group 2*arc + side is an arc
-    end, node the node voted for, sorted by group, then by node as a string.
+    end, node the node voted for, sorted by group, then by node.
     arc_ok holds whether each arc end's most-voted node, if it has votes, is
     its node.  summary_chunks writes its "tkchar-verify/1" document.
     """
@@ -617,11 +599,11 @@ class _Part:
     votes: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _tally(cfg: SampleConfig, arcs: int, rank: np.ndarray, starts: range) -> _Part:
+def _tally(cfg: SampleConfig, arcs: int, starts: range) -> _Part:
     """The samples of the chunks at starts through the batched pipeline
-    into a _Part; rank is _decimal_rank of the node count."""
+    into a _Part."""
     p = cfg.params
-    nodes = len(rank)
+    nodes = p.d // 2 + 1
     red_counts = np.zeros(nodes, dtype=np.int64)
     irr_counts = np.zeros(arcs, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
@@ -643,12 +625,11 @@ def _tally(cfg: SampleConfig, arcs: int, rank: np.ndarray, starts: range) -> _Pa
         np.add.at(red_counts, out.node[red], 1)
         arc = irr_position(p, out.k, out.kp)
         np.add.at(irr_counts, arc[irr], 1)
-        # a cell per (arc, side, node), its node keyed by rank so that the
-        # cells sort in the document's order
+        # a cell per (arc, side, node)
         t = out.coordinate
         vote = np.flatnonzero(irr & ~((0.02 <= t) & (t <= 0.98)))
         side = np.where(t[vote] < 0.02, 0, 1)
-        cells = (2 * arc[vote] + side) * nodes + rank[out.node[vote]]
+        cells = (2 * arc[vote] + side) * nodes + out.node[vote]
         votes = _add_votes(votes, (cells, start + vote, np.ones_like(cells)))
 
     hit = np.flatnonzero(irr_counts)
@@ -752,7 +733,6 @@ def empirical_structure(cfg: SampleConfig) -> Summary:
     _, expected = attachment_nodes(p, k, kp)
     k.flags.writeable = kp.flags.writeable = expected.flags.writeable = False
     nodes = p.d // 2 + 1
-    rank = _decimal_rank(nodes)
     red_counts = np.zeros(nodes, dtype=np.int64)
     irr_counts = np.zeros(len(k), dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
@@ -760,7 +740,7 @@ def empirical_structure(cfg: SampleConfig) -> Summary:
     max_relation = max_classification = 0.0
     decode_errors = 0
 
-    for part in _fork_map(functools.partial(_tally, cfg, len(k), rank), _runs(cfg.sample_count)):
+    for part in _fork_map(functools.partial(_tally, cfg, len(k)), _runs(cfg.sample_count)):
         red_counts += part.red_counts
         irr_counts[part.arcs] += part.arc_counts
         # np.maximum, not max(): a NaN carries through, as in the running maximum
@@ -771,7 +751,6 @@ def empirical_structure(cfg: SampleConfig) -> Summary:
 
     cell, first, count = votes
     group, node = np.divmod(cell, nodes)
-    node = _decimal_order(nodes)[node]
     lead = _leaders(group, count, first)
     arc, side = np.divmod(group[lead], 2)
     arc_ok = np.ones(len(k), dtype=bool)
@@ -841,29 +820,42 @@ def _lines(
         yield [template % row for row in zip(*(c[j].tolist() for c in columns))]
 
 
+def _decimal_rank(size: int) -> np.ndarray:
+    """rank[i] is the place of i among 0 .. size - 1 (size >= 1) in the
+    order of their decimal strings ("10" before "2"), as sort_keys sorts
+    them: by the digits padded on the right, then shorter first."""
+    x = np.arange(size)
+    digits, power = np.ones(size, dtype=np.int64), 10
+    while power < size:
+        digits += x >= power
+        power *= 10
+    rank = np.empty(size, dtype=np.int64)
+    rank[np.lexsort((digits, x * 10 ** (digits[-1] - digits)))] = x
+    return rank
+
+
 def _arc_lines(s: Summary, chunk: int) -> Iterator[list[str]]:
     """The adjacency entries, chunk arcs at a time."""
+    # the object of each voted arc end, its nodes sorted as strings
+    order = np.lexsort((_decimal_rank(len(s.red_counts))[s.vote_node], s.vote_group))
+    cells = zip(
+        s.vote_group[order].tolist(),
+        ['        "%d": %d' % vote for vote in zip(
+            s.vote_node[order].tolist(), s.vote_count[order].tolist()
+        )],
+    )
+    observed = {
+        group: "{\n" + ",\n".join(line for _, line in run) + "\n      }"
+        for group, run in itertools.groupby(cells, key=itemgetter(0))
+    }
     arcs = len(s.k)
-    # the vote cells of chunk i are bounds[i]:bounds[i + 1], as they are sorted by arc
-    per_chunk = np.bincount(s.vote_group // (2 * chunk), minlength=-(-arcs // chunk))
-    bounds = [0, *np.cumsum(per_chunk).tolist()]
-    for start, lo, hi in zip(range(0, arcs, chunk), bounds, bounds[1:]):
+    for start in range(0, arcs, chunk):
         stop = min(start + chunk, arcs)
-        observed = ["{}"] * (2 * (stop - start))
-        cells = zip(
-            s.vote_group[lo:hi].tolist(),
-            ['        "%d": %d' % vote for vote in zip(
-                s.vote_node[lo:hi].tolist(), s.vote_count[lo:hi].tolist()
-            )],
-        )
-        for group, run in itertools.groupby(cells, key=itemgetter(0)):
-            observed[group - 2 * start] = (
-                "{\n" + ",\n".join(line for _, line in run) + "\n      }"
-            )
+        ends = [observed.get(group, "{}") for group in range(2 * start, 2 * stop)]
         rows = zip(
             *(a[start:stop].tolist() for a in (s.node[:, 0], s.node[:, 1], s.k, s.kp)),
-            observed[0::2],
-            observed[1::2],
+            ends[0::2],
+            ends[1::2],
             map(_JSON_BOOL.__getitem__, s.arc_ok[start:stop].tolist()),
         )
         yield [_JSON_ARC % row for row in rows]
@@ -896,9 +888,10 @@ def _summary_parts(s: Summary, chunk: int) -> Iterator[str]:
     cfg = s.cfg
     p = cfg.params
     # keys sort as strings: every "irr:k,kp" before every "red:i", the
-    # labels as their decimals with "," below every digit
+    # labels as their decimals with "," below every digit (lexsort for
+    # both: np.argsort's default kind maps another 256 KiB of sort code)
     irr = np.lexsort((_decimal_rank(p.n)[s.kp], _decimal_rank(p.m)[s.k]))
-    red = _decimal_order(len(s.red_counts))
+    red = np.lexsort((_decimal_rank(len(s.red_counts)),))
     nodes = np.arange(len(s.red_counts))
     yield '{\n  "adjacency": '
     yield from _json_block(_arc_lines(s, chunk), "[]")

@@ -125,6 +125,15 @@ class TestRep:
         )
         assert code == 2 and "unknown letter" in err
 
+    @pytest.mark.parametrize("words", ["", ","])
+    def test_empty_word_list_rejected(self, capsys, words):
+        # an empty --words is refused, never read as the default words
+        code, out, err = run(
+            capsys, "rep", "-m", "3", "-n", "2", "-k", "1", "--kp", "1",
+            "-t", "0.5", "--words", words,
+        )
+        assert (code, out) == (2, "") and "empty word list" in err
+
     def test_bad_angle_rejected(self, capsys):
         code, _, _ = run(capsys, "rep", "-m", "3", "-n", "2", "--red", "--t-angle", "pi/12")
         assert code == 2
@@ -375,17 +384,17 @@ class TestPlumbing:
 
     def test_closed_pipe_usage_error(self):
         # the 9.6 MB document outgrows the pipe, so the CLI is still writing
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "tkchar", "graph", "-m", "200", "-n", "300"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
             env=self.BUFFERED,
-        )
-        assert len(proc.stdout.read(20)) == 20
-        proc.stdout.close()
-        err = proc.stderr.read()
-        self.assert_stdout_usage_error(proc.wait(timeout=60), err, "Broken pipe")
+        ) as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read()
+            self.assert_stdout_usage_error(proc.wait(timeout=60), err, "Broken pipe")
 
     @pytest.mark.parametrize(
         "argv",

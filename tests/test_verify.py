@@ -54,7 +54,6 @@ from tkchar.verify import (
     _add_votes,
     _build_arrays,
     _classify_arrays,
-    _decimal_order,
     _decimal_rank,
     _irr_tables,
     _labels,
@@ -1013,7 +1012,9 @@ SUMMARY_SWEEP = [
     (7, 4, 600, 2, 0.25, 1e-9),  # d = 1
     (30, 45, 2500, 1, 0.25, 1e-9),
     (40, 60, 1500, 3, 0.25, 1e-9),  # d = 20: "red:10" before "red:2"
-    (42, 63, 3000, 5, 0.25, 1e-9),  # d = 21: node "10" before "2" in votes
+    # d = 21: votes for nodes 0 to 10, but one node per arc end (two voted
+    # nodes on one end are planted in test_votes_sorted_as_strings)
+    (42, 63, 3000, 5, 0.25, 1e-9),
 ]
 
 
@@ -1078,6 +1079,21 @@ class TestSummaryWriter:
         assert text == reference_json(reference_summary(cfg))
         assert '"reducible_fraction": 1,' in text
 
+    def test_votes_sorted_as_strings(self):
+        # cells planted on two arc ends, which no sampled sweep gives: nodes
+        # 10 and 2 on one end, a tie between 10, 3 and 2 on another; the
+        # writer orders each end's nodes as json.dumps(sort_keys=True) does
+        s = empirical_structure(SampleConfig(GroupParams(42, 63), 20, 5))
+        assert len(s.red_counts) == 11
+        planted = [(0, 2, 1), (0, 10, 3), (3, 2, 2), (3, 3, 2), (3, 10, 2)]
+        group, node, count = (np.array(c, dtype=np.int64) for c in zip(*planted))
+        s = dataclasses.replace(s, vote_group=group, vote_node=node, vote_count=count)
+        text = summary_to_json(s)
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+        adjacency = json.loads(text)["adjacency"]
+        assert adjacency[0]["observed_t0"] == {"2": 1, "10": 3}
+        assert adjacency[1]["observed_t1"] == {"2": 2, "3": 2, "10": 2}
+
     @given(
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=60),
         st.integers(1, 7),
@@ -1115,7 +1131,6 @@ class TestSummaryWriter:
     @pytest.mark.parametrize("size", [1, 2, 9, 10, 11, 99, 100, 101, 1234, 20001])
     def test_decimal_order_is_string_order(self, size):
         order = sorted(range(size), key=str)
-        assert _decimal_order(size).tolist() == order
         assert np.argsort(_decimal_rank(size)).tolist() == order
 
     @pytest.mark.parametrize(
