@@ -9,7 +9,8 @@ the standard library, and --help and usage errors exit before numpy loads.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
 an -o path or a stdout that cannot be written, such as a closed pipe or a
-full disk, and an order too large for memory).  The environment variable
+full disk, and an order too large for memory), 3 internal error (any other
+exception, whose traceback goes to stderr).  The environment variable
 TKCHAR_TOL overrides the global numerical tolerance; it must be a finite
 number > 0.
 All randomness is seeded; every subcommand is byte-deterministic given its
@@ -106,6 +107,10 @@ def cmd_graph(args: argparse.Namespace, tol: float) -> int:
 
 
 def cmd_rep(args: argparse.Namespace, tol: float) -> int:
+    if args.red and (args.k, args.kp, args.t) != (None, None, None):
+        raise ValueError("--red takes no -k, --kp or -t")
+    if not args.red and (args.t_angle, args.index) != (None, None):
+        raise ValueError("--t-angle and --index need --red")
     from .components import GroupParams
     from .reps import DEFAULT_WORDS, Word, build_irr, build_red_noncoprime, evaluate_word
     from .roots import root
@@ -125,8 +130,9 @@ def cmd_rep(args: argparse.Namespace, tol: float) -> int:
             t = root(int(num_s), int(den_s))
         except ValueError as exc:
             raise ValueError(f"bad --t-angle {args.t_angle!r}: {exc}") from exc
-        a, b = build_red_noncoprime(p, args.index, complex(t))
-        header = f"component red:{args.index}  t = exp(i*pi*{t.num}/{t.den})"
+        index = args.index or 0
+        a, b = build_red_noncoprime(p, index, complex(t))
+        header = f"component red:{index}  t = exp(i*pi*{t.num}/{t.den})"
     else:
         if args.k is None or args.kp is None or args.t is None:
             raise ValueError("irreducible rep needs -k, --kp and -t (or use --red)")
@@ -185,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kp", type=int, default=None, help="second eigenvalue exponent")
     sp.add_argument("-t", type=float, default=None, help="interior coordinate in (0, 1)")
     sp.add_argument("--red", action="store_true", help="build a reducible (diagonal) pair")
-    sp.add_argument("--index", type=int, default=0, help="reducible component index")
+    sp.add_argument("--index", type=int, default=None, help="reducible component index (0)")
     sp.add_argument("--t-angle", default=None, help="circle coordinate exp(i*pi*c/N) as c/N")
     sp.add_argument("--words", default=None, help="comma-separated words over x,y,X,Y")
     sp.set_defaults(func=cmd_rep)
@@ -221,6 +227,11 @@ def main(argv: list[str] | None = None) -> int:
         # an order too large for memory is a usage error, not a failed check
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -35,11 +35,12 @@ CHUNK samples at a time through the draws (stream.draws), the builders
 relation and classifies every pair at once (_classify_arrays), and the
 tally.  sample_pair and classify are the same pipeline on a batch of one;
 classify raises from the kernel's reason code.  Every array element repeats
-the floating-point operations of build_irr, build_red_noncoprime (with
-CPython's complex power), conjugate_by and mat_pow in their order, bit for
-bit, so no per-sample Python call is left on the draw and build path
-beyond the stream's slow draws, which it completes in Python ints, and the
-math functions numpy rounds differently.
+the floating-point operations of build_irr, conjugate_by and mat_pow in
+their order, bit for bit.  The reducible pairs run build_red_noncoprime's
+own CPython complex arithmetic per draw (_red_arrays), so they are its bits
+by construction.  Beyond that loop, the stream's slow draws, which it
+completes in Python ints, and the math functions numpy rounds differently,
+no per-sample Python call is left on the draw and build path.
 
 The chunks run on every CPU the process may use: _runs splits them into
 W = min(len(os.sched_getaffinity(0)), chunks) contiguous runs of whole
@@ -97,7 +98,6 @@ from .su2 import (
     DEFAULT_TOL,
     QuaternionArrays,
     UnitaryMatrix,
-    _cmul,
     _qmul_arrays,
     _qpow_arrays,
     _sup_diff_arrays,
@@ -258,7 +258,8 @@ def classify(
 # builders and of su2 in the same order, so an array element equals what
 # they compute, bit for bit.  Where numpy's routine rounds differently from
 # the math module's (atan2, cos, 3-argument hypot) or from Python's x ** 2,
-# the call is made per element in Python.
+# the call is made per element in Python; the reducible builder's complex
+# power and division run per draw in CPython itself (_red_arrays).
 
 
 def _per_element(f, *columns: np.ndarray) -> np.ndarray:
@@ -272,47 +273,22 @@ def _two_cos(k: np.ndarray, order: int) -> np.ndarray:
     return np.array([values[j] for j in k.tolist()], dtype=float)
 
 
-def _cpow_arrays(re: np.ndarray, im: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """CPython's complex power (re + i*im) ** e for an int 1 <= e, elementwise
-    on non-zero bases: c_powu's square-and-multiply ladder from r = 1 up to
-    e = 100, _Py_c_pow's polar form (C pow, atan2, cos, sin) beyond."""
-    if e <= 100:
-        x = (re, im)
-        r = (np.ones_like(re), np.zeros_like(re))
-        while e:
-            if e & 1:
-                r = _cmul(*r, *x)
-            e >>= 1
-            if e:
-                x = _cmul(*x, *x)
-        return r
-    length = _per_element(lambda v: math.pow(v, e), np.hypot(re, im))
-    phase = _per_element(math.atan2, im, re) * float(e)
-    return length * _per_element(math.cos, phase), length * _per_element(math.sin, phase)
-
-
 def _red_arrays(
     p: GroupParams, j: np.ndarray, u: np.ndarray
 ) -> tuple[QuaternionArrays, QuaternionArrays]:
-    """build_red_noncoprime(p, j, cmath.exp(1j * (2*pi*u))) elementwise.
-
-    cmath.exp of the imaginary 2*pi*u is (cos, sin) of it; reps._unit
-    divides by abs(t), C hypot, as CPython's complex / float, i.e.
-    (re + im*0.0, im - re*0.0) / nrm; then lam = t ** b and
-    mu = _alpha_conj(p, j) * t ** a.
-    """
-    x = 2.0 * math.pi * u
-    re, im = _per_element(math.cos, x), _per_element(math.sin, x)
-    nrm = np.hypot(re, im)
-    if (np.abs(nrm - 1.0) > 1e-9).any():
-        raise ValueError(f"coordinate must lie on the unit circle, |t| = {nrm.max()}")
-    re, im = (re + im * 0.0) / nrm, (im - re * 0.0) / nrm
+    """build_red_noncoprime(p, j, cmath.exp(1j * (2*pi*u))) per draw, in its
+    own CPython complex arithmetic (reps._unit's t / abs(t), then t ** b and
+    _alpha_conj(p, j) * t ** a), packed as quaternion arrays."""
     alpha = {i: _alpha_conj(p, i) for i in set(j.tolist())}
-    alpha = np.array([alpha[i] for i in j.tolist()], dtype=complex)
-    lam = _cpow_arrays(re, im, p.b)
-    mu = _cmul(alpha.real, alpha.imag, *_cpow_arrays(re, im, p.a))
+    lam, mu = [], []
+    for i, x in zip(j.tolist(), (2.0 * math.pi * u).tolist()):
+        t = cmath.exp(1j * x)
+        t = t / abs(t)
+        lam.append(t**p.b)
+        mu.append(alpha[i] * t**p.a)
+    lam, mu = np.array(lam, dtype=complex), np.array(mu, dtype=complex)
     zero = np.zeros(j.size)
-    return (*lam, zero, zero), (*mu, zero, zero)
+    return (lam.real, lam.imag, zero, zero), (mu.real, mu.imag, zero, zero)
 
 
 def _build_arrays(

@@ -138,6 +138,24 @@ class TestRep:
         code, _, _ = run(capsys, "rep", "-m", "3", "-n", "2", "--red", "--t-angle", "pi/12")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--red", "--index", "1", "--t-angle", "1/6", "-k", "1", "--kp", "3", "-t", "0.5"],
+             "--red takes no -k, --kp or -t"),
+            (["--red", "--t-angle", "1/6", "-t", "0.5"], "--red takes no -k, --kp or -t"),
+            (["-k", "1", "--kp", "1", "-t", "0.5", "--t-angle", "1/6", "--index", "1"],
+             "--t-angle and --index need --red"),
+            (["-k", "1", "--kp", "1", "-t", "0.5", "--index", "0"],
+             "--t-angle and --index need --red"),
+        ],
+        ids=["irr-flags-with-red", "t-with-red", "red-flags-without-red", "index-without-red"],
+    )
+    def test_other_mode_flags_rejected(self, capsys, flags, message):
+        # a flag of the other mode is refused, never silently ignored
+        code, out, err = run(capsys, "rep", "-m", "4", "-n", "6", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestVerify:
     def test_trefoil_passes(self, capsys):

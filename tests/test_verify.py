@@ -776,6 +776,9 @@ class TestWorkers:
             (12, 18, 3 * CHUNK + 5, 1, 1e-18, CHUNK),
             # one chunk: one run at any CPU count, and no fork
             (4, 6, CHUNK, 1, DEFAULT_TOL, CHUNK),
+            # b = 101 > 100: the reducible builder's complex power on
+            # CPython's polar branch, in every run
+            (2, 202, 3 * CHUNK + 5, 1, DEFAULT_TOL, CHUNK),
         ],
     )
     def test_bytes_do_not_depend_on_workers(self, monkeypatch, m, n, count, seed, tol, chunk):
@@ -876,6 +879,21 @@ class TestWorkers:
             assert_no_child()
         assert results[0] == (2, "", f"error: {str(error) or 'out of memory'}\n")
         assert results[1] == results[0]
+
+    def test_cli_internal_error_exits_3(self, monkeypatch, capfd):
+        # an internal fault is neither a failed verification (1) nor a
+        # usage error (2): its traceback goes to stderr, and nothing to stdout
+        from tkchar.cli import main
+
+        self.corrupt_guard(monkeypatch)
+        argv = ["verify", "-m", "4", "-n", "6", "-N", str(self.COUNT), "--seed", "1"]
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            code = main(argv)
+            out, err = capfd.readouterr()
+            assert (code, out) == (3, "")
+            assert "Traceback" in err and "RuntimeError" in err and "default_rng" in err
+            assert_no_child()
 
     def test_worker_without_result(self, monkeypatch):
         real = tkchar.verify._build_arrays
