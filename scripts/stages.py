@@ -5,17 +5,12 @@ the writer and json bytes (below).
 
 verify mode, each stage over all verify.CHUNK-sized batches:
 
-- scalar stream: `stream.draw` once per index, the stream's definition in
-  Python ints;
-- replica: `stream.replica`, the uint64 array replica of the stream, and
-  the count of slow indices, which it leaves to the scalar code;
-- scalar completion: the finished `stream.draws` minus the replica, i.e.
-  the slow indices completed by the scalar code from their seeded states,
-  and the guards (derived);
-- builders: `_build_arrays` on the completed draws;
+- stream: `stream.draws`, the draws of numpy's default_rng((seed, index))
+  as arrays;
+- builders: `_build_arrays` on the draws;
 - kernel: `_classify_arrays` on the builders' pairs;
-- array tally: `empirical_structure` with one worker minus replica,
-  scalar completion, builders and kernel, i.e. the expected arc ends
+- array tally: `empirical_structure` with one worker minus stream,
+  builders and kernel, i.e. the expected arc ends
   (`components.attachment_nodes` over the cached label table), the count,
   maximum and vote arrays and each arc end's winner (derived);
 - writer and json bytes (below);
@@ -48,6 +43,9 @@ all stages alike; the figures are medians over --rounds rounds, after one
 untimed warm-up round that builds the per-order tables.  Times are in
 seconds, with µs per arc (graph) or per sample (verify) beside.
 
+The script imports tkchar from the src/ directory of its own tree, and
+so do the interpreters it starts.
+
 Usage:
     python3 scripts/stages.py graph -m 200 -n 300
     python3 scripts/stages.py verify -m 30 -n 45 -N 16000 --seed 1
@@ -65,11 +63,13 @@ import sys
 import time
 from pathlib import Path
 
-import tkchar
-from tkchar import stream, verify
-from tkchar.components import GroupParams, count_irr
-from tkchar.graph import build_graph, json_chunks
-from tkchar.verify import (
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
+
+from tkchar import stream, verify  # noqa: E402
+from tkchar.components import GroupParams, count_irr  # noqa: E402
+from tkchar.graph import build_graph, json_chunks  # noqa: E402
+from tkchar.verify import (  # noqa: E402
     CHUNK,
     SampleConfig,
     _build_arrays,
@@ -80,10 +80,9 @@ from tkchar.verify import (
     summary_chunks,
 )
 
-SRC = str(Path(tkchar.__file__).resolve().parent.parent)
 # figures that are not seconds, with their format; they have no per-item column
-COUNTS = {"slow indices": "{:.0f}", "json bytes": "{:.0f}", "workers": "{:.0f}",
-          "cli exit": "{:.0f}", "cli peak RSS MiB": "{:.1f}"}
+COUNTS = {"json bytes": "{:.0f}", "workers": "{:.0f}", "cli exit": "{:.0f}",
+          "cli peak RSS MiB": "{:.1f}"}
 
 # Runs argv[1:] with stdout on /dev/null, prints [wall s, ru_maxrss KiB,
 # exit code].
@@ -146,15 +145,12 @@ def verify_stages(cfg: SampleConfig) -> dict[str, float]:
     p, count = cfg.params, cfg.sample_count
     chunks = [range(s, min(s + CHUNK, count)) for s in range(0, count, CHUNK)]
     seed, args = cfg.seed, _stream_args(cfg)
-    t = {"scalar stream": timed(lambda: [stream.draw(seed, i, *args) for i in range(count)])[0]}
-    t["replica"], replicas = timed(lambda: [stream.replica(seed, c, *args) for c in chunks])
-    t["slow indices"] = sum(int((~r[0]).sum()) for r in replicas)
-    stream_s, draws = timed(lambda: [stream.draws(seed, c, *args) for c in chunks])
-    t["scalar completion"] = stream_s - t["replica"]
+    t = {}
+    t["stream"], draws = timed(lambda: [stream.draws(seed, c, *args) for c in chunks])
     t["builders"], pairs = timed(lambda: [_build_arrays(p, *d) for d in draws])
     t["kernel"] = timed(lambda: [_classify_arrays(p, a, b, cfg.tol) for a, b in pairs])[0]
     serial = timed(one_worker, cfg)[0]
-    staged = ("replica", "scalar completion", "builders", "kernel")
+    staged = ("stream", "builders", "kernel")
     t["array tally"] = serial - sum(t[s] for s in staged)
     total, summary = timed(empirical_structure, cfg)
     t["writer"], t["json bytes"] = timed(drain, summary_chunks(summary))

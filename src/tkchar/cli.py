@@ -25,6 +25,25 @@ import sys
 from collections.abc import Iterable
 
 
+def _to_devnull(stream) -> None:
+    """Point stream's fd at /dev/null, so that the flush at exit of what is
+    left in its buffer (closed pipe, full disk) fails no second time."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
+def _report(text: str) -> None:
+    """Write text to stderr; a stderr that cannot be written, such as the
+    closed pipe of `tkchar ... 2>&1 | head`, loses the text, not the exit
+    code."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write the text chunks and one newline to stdout or to the file out.
 
@@ -37,11 +56,7 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
             sys.stdout.write("\n")
             sys.stdout.flush()  # a document smaller than the buffer fails only here
         except OSError as exc:
-            # fd 1 on /dev/null, so the flush at exit of what is left in
-            # stdout's buffer (closed pipe, full disk) fails no second time
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
+            _to_devnull(sys.stdout)
             raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     try:
@@ -219,18 +234,18 @@ def main(argv: list[str] | None = None) -> int:
         tol = float(raw_tol) if raw_tol is not None else DEFAULT_TOL
         check_tol(tol)
     except ValueError as exc:
-        print(f"error: TKCHAR_TOL={raw_tol!r}: {exc}", file=sys.stderr)
+        _report(f"error: TKCHAR_TOL={raw_tol!r}: {exc}\n")
         return 2
     try:
         return args.func(args, tol)
     except (ValueError, MemoryError) as exc:
         # an order too large for memory is a usage error, not a failed check
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _report(f"error: {str(exc) or 'out of memory'}\n")
         return 2
     except Exception:
         import traceback
 
-        traceback.print_exc()
+        _report(traceback.format_exc())
         return 3
 
 

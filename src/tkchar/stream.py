@@ -3,9 +3,8 @@
 Each sample index has its own stream, the one numpy's default_rng((seed,
 index)) gives, and makes the calls random(), integers(0, K), random() and
 normal(size=4) on it.  This module computes that stream without numpy's
-Generator, which it never imports: draw() defines one index's draw in
-Python ints, and draws() gives a whole range's as arrays.  The stream has
-four parts:
+Generator, which it never imports: draws() gives a whole range's draws as
+arrays.  The stream has four parts:
 
 - SeedSequence: the entropy words of (seed, index) hashed into a pool of
   four 32-bit words, expanded by generate_state(4, np.uint64);
@@ -21,19 +20,15 @@ four parts:
   _FI, which numpy does not export; tests/test_stream.py recovers them
   from numpy.
 
-draws() runs a replica of the common path of every routine as uint64 array
-arithmetic, with PCG64 in 32-bit limbs.  An index whose draw leaves it (a
-Lemire retry, a ziggurat wedge or tail, about 6% of indices) is marked
-slow, and draws() completes it with draw()'s scalar code, started from the
-PCG64 state the replica seeded for it.  The stream covers seeds below
-SEEDS = 2**64 and K up to K_MAX = 2**32, which verify.SampleConfig
-enforces: past them numpy hashes more entropy words or draws integers(0, K)
-on its 64-bit path.  In every block of GUARD indices draws() draws the
-first fast and the first slow index again with draw(), so the array
-replica and the scalar definition cannot part without it raising.  A slow
-index goes through the same _complete on both sides, so the guard checks
-the seeding and the hand-off of the seeded state, not _complete itself;
-only tests/test_stream.py pins _complete (and all of draw()) to numpy.
+draws() holds one PCG64 per index as 32-bit limb arrays (_Generators) and
+runs each routine on all the streams it serves at once.  A stream that
+leaves a routine's common path (a Lemire retry, a ziggurat wedge or tail,
+about 5% of indices) takes its further steps in a masked loop, together
+with the other streams that left it, so every index is drawn by the same
+code.  The stream covers seeds below SEEDS = 2**64 and K up to K_MAX =
+2**32, which verify.SampleConfig enforces: past them numpy hashes more
+entropy words or draws integers(0, K) on its 64-bit path.
+tests/test_stream.py pins draws() to numpy's own generator on every branch.
 """
 
 from __future__ import annotations
@@ -43,17 +38,10 @@ import math
 import numpy as np
 
 MASK32 = 0xFFFFFFFF
-MASK64 = (1 << 64) - 1
-MASK128 = (1 << 128) - 1
 
 # the seeds and the K of integers(0, K) that the stream covers
 SEEDS = 1 << 64
 K_MAX = 1 << 32
-
-# Indices per block of the guard: in every block of GUARD indices (from
-# index 0), the first index the replica draws and the first it leaves to
-# the scalar code are drawn again by draw() and must agree.
-GUARD = 512
 
 # SeedSequence's hash constants, from numpy's bit_generator.pyx
 _POOL_SIZE = 4
@@ -71,7 +59,7 @@ _R = 3.654152885361009
 _INV_R = 0.2736612373297583
 
 # ziggurat tables of numpy's random_standard_normal (ki_double, wi_double,
-# fi_double); the replica reads the first two, the scalar code all three
+# fi_double)
 _KI = np.array(
     [
         0xef33d8025ef6a, 0x0000000000000, 0xc08be98fbc6a8, 0xda354fabd8142, 0xe51f67ec1eeea,
@@ -220,7 +208,7 @@ _WI = np.array(
     ],
     dtype=np.float64,
 )
-_FI = [
+_FI = np.array([
     1.0, 0.9771017012676716, 0.9598790918001067,
     0.9451989534422996, 0.9320600759592305, 0.919991505039347,
     0.9087264400521309, 0.8980959218983434, 0.8879846607558334,
@@ -307,12 +295,7 @@ _FI = [
     0.010214971439701459, 0.008616582769398726, 0.007050875471373222,
     0.0055224032992509916, 0.0040379725933630236, 0.0026090727461021593,
     0.001260285930498598,
-]
-
-# the scalar code's own copies of _KI and _WI, so that a table changed in
-# the replica alone shows at the guard
-_ki, _wi = _KI.tolist(), _WI.tolist()
-
+])
 
 def _hash_constants(init: int, mult: int):
     """The (xor, multiplier) pair of each successive SeedSequence hash."""
@@ -392,194 +375,133 @@ def _double(raw: np.ndarray) -> np.ndarray:
     return (raw >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
-def _pcg64(w: list) -> tuple[list, list]:
-    """PCG64's (state, inc) as 32-bit limbs, seeded from the eight words w
-    of _state_words, whose uint64 words v[i] = w[2i] | w[2i+1] << 32 give
-    the seed v[0] << 64 | v[1] and the increment v[2] << 64 | v[3]: state 0,
-    a step, the seed added, a step."""
-    inc = _carry([2 * w[6] + 1, 2 * w[7], 2 * w[4], 2 * w[5]])
-    return _step(_carry([x + y for x, y in zip(inc, (w[2], w[3], w[0], w[1]))]), inc), inc
-
-
 def _seeded(seed: int, indices: range) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """PCG64's (state, inc) as 32-bit limbs, seeded from SeedSequence((seed,
-    index)) for every index.
+    index)) for every index: the eight words w of _state_words, whose uint64
+    words v[i] = w[2i] | w[2i+1] << 32 give the seed v[0] << 64 | v[1] and
+    the increment v[2] << 64 | v[3]; state 0, a step, the seed added, a step.
 
     The index is always two words here, so the pool holds at most four
     words, and a zero high word hashes as the zero padding of a one-word
     index does."""
     index = np.arange(indices.start, indices.stop, dtype=np.uint64)
     words = [np.full(len(indices), w, dtype=np.uint64) for w in _seed_words(seed)]
-    return _pcg64(_state_words(words + [index & MASK32, index >> 32]))
+    w = _state_words(words + [index & MASK32, index >> 32])
+    inc = _carry([2 * w[6] + 1, 2 * w[7], 2 * w[4], 2 * w[5]])
+    return _step(_carry([x + y for x, y in zip(inc, (w[2], w[3], w[0], w[1]))]), inc), inc
 
 
-def replica(
-    seed: int, indices: range, fraction: float, k_red: int, k_irr: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(fast, reducible, j, u, g, seeded): draw()'s stream for every index of
-    indices (a range of step 1), as uint64 array arithmetic alone.
-
-    fast marks the indices whose draws stayed on the common path of every
-    routine; the values of the others are meaningless.  g has one row of
-    four Gaussians per index.  seeded holds each index's PCG64 state right
-    after seeding, one row (state low, state high, inc low, inc high) of
-    64-bit words per index, from which draws() completes the slow ones.
-    """
-    # every draw takes the output of one more step from the seeded state
-    state, inc = _seeded(seed, indices)
-    limbs = [*state, *inc]
-    seeded = np.stack([limbs[i] | (limbs[i + 1] << 32) for i in range(0, 8, 2)], axis=1)
-    raw = []
-    for _ in range(7):
-        state = _step(state, inc)
-        raw.append(_output(state))
-
-    reducible = _double(raw[0]) < fraction
-    # integers(0, K): nothing drawn for K == 1, else Lemire's m = low32 * K
-    k = np.where(reducible, k_red, k_irr).astype(np.uint64)
-    has_j = k > 1
-    m = (raw[1] & MASK32) * k
-    fast = ~has_j | ((m & MASK32) >= k)
-    j = np.where(has_j, m >> 32, 0).astype(np.int64)
-    u = _double(np.where(has_j, raw[2], raw[1]))
-    # normal(): 8 bits of layer, a sign bit and 52 bits of magnitude
-    g = np.empty((len(indices), 4))
-    for q in range(4):
-        r = np.where(has_j, raw[3 + q], raw[2 + q])
-        layer = (r & 0xFF).astype(np.intp)
-        rabs = (r >> 9) & ((1 << 52) - 1)
-        fast &= rabs < _KI[layer]
-        x = rabs.astype(np.float64) * _WI[layer]
-        g[:, q] = 0.0 + 1.0 * np.where(((r >> 8) & 1) == 1, -x, x)
-    return fast, reducible, j, u, g, seeded
+def _per_element(f, *columns: np.ndarray) -> np.ndarray:
+    """f over Python floats of float64 arrays, element by element."""
+    return np.array(list(map(f, *(c.tolist() for c in columns))), dtype=float)
 
 
-class _PCG64:
-    """numpy's PCG64 as one 128-bit int, with the high 32-bit half of an
-    output that next32 keeps for its next call."""
+class _Generators:
+    """numpy's PCG64 for each stream of a range: state and increment as
+    32-bit limb arrays, and the high 32-bit half of an output that next32
+    keeps for the stream's next call.  rows picks the streams a call
+    serves: a slice for every stream, or an array of positions."""
 
-    __slots__ = ("state", "inc", "half")
+    def __init__(self, state: list[np.ndarray], inc: list[np.ndarray]):
+        self.state, self.inc = state, inc
+        self.positions = np.arange(len(state[0]))
+        self.half = np.zeros(len(state[0]), dtype=np.uint64)
+        self.buffered = np.zeros(len(state[0]), dtype=bool)
 
-    def __init__(self, state: int, inc: int):
-        self.state, self.inc, self.half = state, inc, None
+    def next64(self, rows) -> np.ndarray:
+        """One step, then the XSL-RR output, per row."""
+        state = _step([limb[rows] for limb in self.state], [limb[rows] for limb in self.inc])
+        for limb, stepped in zip(self.state, state):
+            limb[rows] = stepped
+        return _output(state)
 
-    def next64(self) -> int:
-        """One step, then the XSL-RR output."""
-        state = self.state = (self.state * _PCG_MULT + self.inc) & MASK128
-        high = state >> 64
-        value, rot = high ^ (state & MASK64), high >> 58
-        return ((value >> rot) | (value << (64 - rot))) & MASK64
-
-    def next32(self) -> int:
-        """The low half of a fresh output, or the high half of the last."""
-        if self.half is None:
-            raw = self.next64()
-            self.half = raw >> 32
-            return raw & MASK32
-        half, self.half = self.half, None
+    def next32(self, rows) -> np.ndarray:
+        """The low half of a fresh output, or the high half of the last, per row."""
+        rows = self.positions[rows]
+        buffered = self.buffered[rows]
+        half = self.half[rows]
+        raw = self.next64(rows[~buffered])
+        half[~buffered] = raw & MASK32
+        self.half[rows[~buffered]] = raw >> 32
+        self.buffered[rows] = ~buffered
         return half
 
-    def random(self) -> float:
-        """The top 53 bits of an output times 2**-53."""
-        return (self.next64() >> 11) * (1.0 / 9007199254740992.0)
+    def random(self, rows) -> np.ndarray:
+        """random() per row."""
+        return _double(self.next64(rows))
 
 
-def _integer(bits: _PCG64, k: int) -> int:
-    """integers(0, k): nothing drawn for k == 1, one 32-bit half for
-    k == 2**32, else Lemire's m = half * k, drawn again while its low word
-    is below 2**32 mod k."""
-    if k == 1:
-        return 0
-    if k == K_MAX:
-        return bits.next32()
-    m = bits.next32() * k
-    if m & MASK32 < k:
-        threshold = K_MAX % k
-        while m & MASK32 < threshold:
-            m = bits.next32() * k
-    return m >> 32
+def _integers(bits: _Generators, k: np.ndarray) -> np.ndarray:
+    """integers(0, k) per stream: nothing drawn where k == 1, else Lemire's
+    m = half * k, drawn again while its low word is below 2**32 mod k, which
+    is 0 at k == 2**32, where one 32-bit half is the value."""
+    j = np.zeros(k.size, dtype=np.uint64)
+    threshold = K_MAX % k
+    rows = np.flatnonzero(k > 1)
+    while rows.size:
+        m = bits.next32(rows) * k[rows]
+        j[rows] = m >> 32
+        rows = rows[(m & MASK32) < threshold[rows]]
+    return j
 
 
-def _normal(bits: _PCG64) -> float:
-    """numpy's random_standard_normal: the ziggurat's layer, sign and
-    magnitude from one output; outside the layer's rectangle the wedge test
-    against _FI, or in layer 0 Marsaglia's tail beyond _R."""
-    while True:
-        r = bits.next64()
-        layer, negative, rabs = r & 0xFF, r >> 8 & 1, r >> 9 & ((1 << 52) - 1)
-        x = rabs * _wi[layer]
-        if negative:
-            x = -x
-        if rabs < _ki[layer]:
-            return x
-        if layer == 0:  # the tail's sign is bit 8 of rabs, not the sign bit
-            while True:
-                xx = -_INV_R * math.log1p(-bits.random())
-                yy = -math.log1p(-bits.random())
-                if yy + yy > xx * xx:
-                    return -(_R + xx) if rabs >> 8 & 1 else _R + xx
-        if (_FI[layer - 1] - _FI[layer]) * bits.random() + _FI[layer] < math.exp(-0.5 * x * x):
-            return x
+def _normal(bits: _Generators) -> np.ndarray:
+    """normal() per stream, numpy's random_standard_normal: the ziggurat's
+    layer, sign and magnitude from one output; outside the layer's
+    rectangle the wedge test against _FI, which draws again where it fails,
+    or in layer 0 Marsaglia's tail beyond _R.  exp and log1p are called per
+    element, as numpy's ufuncs may round otherwise than the C library."""
+    x = np.empty(bits.positions.size)
+    rows = bits.positions
+    while rows.size:
+        r = bits.next64(rows)
+        layer = (r & 0xFF).astype(np.intp)
+        rabs = (r >> 9) & ((1 << 52) - 1)
+        value = rabs.astype(np.float64) * _WI[layer]
+        x[rows] = np.where((r >> 8) & 1 == 1, -value, value)
+        slow = rabs >= _KI[layer]
+        tail = slow & (layer == 0)
+        if tail.any():  # the tail's sign is bit 8 of rabs, not the sign bit
+            x[rows[tail]] = _tail(bits, rows[tail], (rabs[tail] >> 8) & 1 == 1)
+        wedge = slow & (layer != 0)
+        rows, layer = rows[wedge], layer[wedge]
+        value = x[rows]
+        edge = (_FI[layer - 1] - _FI[layer]) * bits.random(rows) + _FI[layer]
+        rows = rows[edge >= _per_element(math.exp, -0.5 * value * value)]
+    return x
 
 
-def _complete(
-    state: int, inc: int, fraction: float, k_red: int, k_irr: int
-) -> tuple[bool, int, float, np.ndarray]:
-    """One draw (reducible, j, u, g) from a seeded PCG64 (state, inc): the
-    calls, in their order, that define every sample.
-
-    j is the raw reducible circle (K = k_red) or the index into
-    enumerate_irr (K = k_irr), u the uniform that becomes the circle angle
-    2*pi*u or the coordinate t, and g the four Gaussians of the Haar
-    conjugator, each normal()'s loc + scale * x, which turns -0.0 into 0.0.
-    """
-    bits = _PCG64(state, inc)
-    reducible = bits.random() < fraction
-    j = _integer(bits, k_red if reducible else k_irr)
-    return reducible, j, bits.random(), np.array([0.0 + 1.0 * _normal(bits) for _ in range(4)])
-
-
-def draw(
-    seed: int, index: int, fraction: float, k_red: int, k_irr: int
-) -> tuple[bool, int, float, np.ndarray]:
-    """The index-th draw of the stream, as default_rng((seed, index)) makes
-    it: PCG64 seeded as _seeded seeds it, in Python ints, then _complete."""
-    limbs = _pcg64(_state_words(_seed_words(seed) + [index & MASK32, index >> 32]))
-    state, inc = (sum(limb << (32 * i) for i, limb in enumerate(q)) for q in limbs)
-    return _complete(state, inc, fraction, k_red, k_irr)
-
-
-def _bits(reducible, j, u, g) -> tuple[bool, int, bytes]:
-    """One index's draw with its floats as IEEE bytes, so -0.0 != 0.0."""
-    return bool(reducible), int(j), np.append(u, g).tobytes()
+def _tail(bits: _Generators, rows: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """Marsaglia's tail beyond _R per stream: xx = -log1p(-random()) / _R and
+    yy = -log1p(-random()) drawn until yy + yy > xx * xx, then _R + xx."""
+    x = np.empty(rows.size)
+    pending = np.arange(rows.size)
+    while pending.size:
+        xx = -_INV_R * _per_element(math.log1p, -bits.random(rows[pending]))
+        yy = -_per_element(math.log1p, -bits.random(rows[pending]))
+        done = yy + yy > xx * xx
+        x[pending[done]] = _R + xx[done]
+        pending = pending[~done]
+    return np.where(negative, -x, x)
 
 
 def draws(
     seed: int, indices: range, fraction: float, k_red: int, k_irr: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """draw(seed, i, fraction, k_red, k_irr) for every i in indices (a range
-    of step 1), as arrays (reducible, j, u, g), g one row per index.
+    """The draws (reducible, j, u, g) of default_rng((seed, index)) for
+    every index of indices (a range of step 1), as arrays: the calls, in
+    their order, that define every sample.
 
-    The replica computes them; an index it leaves slow is completed by
-    _complete from its seeded state.  In each GUARD block the first index
-    of either kind is drawn again by draw() and must agree bit for bit,
-    else RuntimeError.
+    reducible is random() < fraction; j is integers(0, K), the raw
+    reducible circle (K = k_red) or the index into enumerate_irr (K =
+    k_irr); u is random(), which becomes the circle angle 2*pi*u or the
+    coordinate t; and g, one row per index, holds the four Gaussians of the
+    Haar conjugator, each normal()'s loc + scale * x, which turns -0.0 into
+    0.0.
     """
-    args = (fraction, k_red, k_irr)
-    fast, *arrays, seeded = replica(seed, indices, *args)
-    slow = np.flatnonzero(~fast)
-    completed = (
-        _complete(s_lo | s_hi << 64, i_lo | i_hi << 64, *args)
-        for s_lo, s_hi, i_lo, i_hi in seeded[slow].tolist()
-    )
-    for column, values in zip(arrays, zip(*completed)):
-        column[slow] = values
-    # the first position of each (GUARD block, fast) key: the guarded indices
-    key = np.arange(indices.start, indices.stop) // GUARD * 2 + fast
-    for pos in np.unique(key, return_index=True)[1].tolist():
-        if _bits(*draw(seed, indices[pos], *args)) != _bits(*(c[pos] for c in arrays)):
-            raise RuntimeError(
-                f"tkchar.stream's array replica differs from draw(), its definition of "
-                f"numpy's default_rng((seed, index)) stream, at ({seed}, {indices[pos]})"
-            )
-    return tuple(arrays)
+    bits = _Generators(*_seeded(seed, indices))
+    reducible = bits.random(slice(None)) < fraction
+    j = _integers(bits, np.where(reducible, k_red, k_irr).astype(np.uint64))
+    u = bits.random(slice(None))
+    g = np.stack([0.0 + 1.0 * _normal(bits) for _ in range(4)], axis=1)
+    return reducible, j.astype(np.int64), u, g

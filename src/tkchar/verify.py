@@ -10,10 +10,10 @@ Randomness is reproducible and order-independent: each sample index gets
 its own stream, numpy's default_rng((seed, index)), so the draw for a given
 sample never depends on how many other samples were drawn, by whom, or in
 which thread.  tkchar.stream is the one definition of that stream, and
-computes it without numpy's Generator: stream.draw makes one index's draw
-in Python ints and stream.draws a range's as arrays, finished and checked.
-verify only maps a SampleConfig to their arguments (_stream_args);
-SampleConfig refuses the seeds and orders the stream does not cover.
+computes it without numpy's Generator: stream.draws gives a range's draws
+as arrays, and sample_pair draws a range of one.  verify only maps a
+SampleConfig to its arguments (_stream_args); SampleConfig refuses the
+seeds and orders the stream does not cover.
 
 Classification inverts the construction from the matrices alone, reading
 every decision from the polar form (half-angle alpha, axis v) of each
@@ -38,18 +38,18 @@ classify raises from the kernel's reason code.  Every array element repeats
 the floating-point operations of build_irr, conjugate_by and mat_pow in
 their order, bit for bit.  The reducible pairs run build_red_noncoprime's
 own CPython complex arithmetic per draw (_red_arrays), so they are its bits
-by construction.  Beyond that loop, the stream's slow draws, which it
-completes in Python ints, and the math functions numpy rounds differently,
-no per-sample Python call is left on the draw and build path.
+by construction.  Beyond that loop and the math functions numpy rounds
+differently, here and in the stream, no per-sample Python call is left on
+the draw and build path.
 
 The chunks run on every CPU the process may use: _runs splits them into
 W = min(len(os.sched_getaffinity(0)), chunks) contiguous runs of whole
 chunks, so taskset sets W.  This process tallies the first run and a
 forked worker each other one (_fork_map), which sends its part, O(its
 samples + its vote cells + d), through a pipe; the parts merge in index
-order.  Every index keeps its draws, guard and completion, so the bytes do
-not depend on W.  A run of N <= CHUNK samples, a single CPU, or a platform
-without os.fork or os.sched_getaffinity gives W = 1: one run, no fork.
+order.  Every index keeps its draws, so the bytes do not depend on W.  A
+run of N <= CHUNK samples, a single CPU, or a platform without os.fork or
+os.sched_getaffinity gives W = 1: one run, no fork.
 
 The tally and the summary are arrays too, with no Python object per arc:
 counts per node and per arc, running maxima (the residuals are >= 0, so
@@ -94,6 +94,7 @@ from . import graph, stream
 from .graph import _endpoint_rule, _json_block, _sig12
 from .reps import _alpha_conj, character
 from .roots import root
+from .stream import _per_element
 from .su2 import (
     DEFAULT_TOL,
     QuaternionArrays,
@@ -201,10 +202,10 @@ def _one(x: UnitaryMatrix) -> QuaternionArrays:
 
 def sample_pair(cfg: SampleConfig, index: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
     """The index-th sample of the configured stream: a pair satisfying the relation."""
-    draw = (np.array([v]) for v in stream.draw(cfg.seed, index, *_stream_args(cfg)))
+    draws = stream.draws(cfg.seed, range(index, index + 1), *_stream_args(cfg))
     return tuple(
         UnitaryMatrix(complex(q[0][0], q[1][0]), complex(q[2][0], q[3][0]))
-        for q in _build_arrays(cfg.params, *draw)
+        for q in _build_arrays(cfg.params, *draws)
     )
 
 
@@ -260,11 +261,6 @@ def classify(
 # the math module's (atan2, cos, 3-argument hypot) or from Python's x ** 2,
 # the call is made per element in Python; the reducible builder's complex
 # power and division run per draw in CPython itself (_red_arrays).
-
-
-def _per_element(f, *columns: np.ndarray) -> np.ndarray:
-    """f over Python floats of float64 arrays, element by element."""
-    return np.array(list(map(f, *(c.tolist() for c in columns))), dtype=float)
 
 
 def _two_cos(k: np.ndarray, order: int) -> np.ndarray:

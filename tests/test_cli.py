@@ -416,6 +416,28 @@ class TestPlumbing:
 
     @pytest.mark.parametrize(
         "argv",
+        [("graph", "-m", "3", "-n", "2"), ("verify", "-m", "3", "-n", "2", "-N", "10", "--seed", "1")],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_pipe_on_both_fds_usage_error(self, argv):
+        # `tkchar ... 2>&1 | head`: the error line cannot be written either,
+        # and the exit code stays 2, not 1 (verification failed) or 120
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tkchar", *argv],
+                stdout=write,
+                stderr=write,
+                env=self.BUFFERED,
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ("graph", "-m", "3", "-n", "2"),
             ("verify", "-m", "3", "-n", "2", "-N", "10", "--seed", "1"),

@@ -7,23 +7,27 @@ import sys
 
 import pytest
 
-from tkchar import stream
 from tkchar.components import GroupParams
 from tkchar.graph import build_graph, to_dot, to_json, to_svg_schematic
-from tkchar.verify import SampleConfig, _stream_args, empirical_structure, summary_to_json
+from tkchar.verify import SampleConfig, empirical_structure, summary_to_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *argv):
+def run_script(name, *argv, pythonpath=True):
+    """The script run from the repo root, with this tree's src/ on
+    PYTHONPATH, or with PYTHONPATH unset."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    if not pythonpath:
+        del env["PYTHONPATH"]
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True,
         text=True,
         env=env,
+        cwd=ROOT,
     )
 
 
@@ -46,10 +50,10 @@ def test_render_figures(tmp_path):
         assert (tmp_path / f"graph-8-12.{ext}").read_text() == render(g) + "\n"
 
 
-def run_stages(comment, *argv):
+def run_stages(comment, *argv, pythonpath=True):
     """The table of scripts/stages.py as {figure: [value]} for counts and
     {figure: [seconds, per item]} for times, in printed order."""
-    proc = run_script("stages.py", *argv, "--rounds", "1")
+    proc = run_script("stages.py", *argv, "--rounds", "1", pythonpath=pythonpath)
     assert proc.returncode == 0, proc.stderr
     first, header, *rows = proc.stdout.splitlines()
     assert first == comment
@@ -88,24 +92,24 @@ VERIFY_CFG = SampleConfig(params=GroupParams(12, 18), sample_count=300, seed=4)
 
 @pytest.fixture(scope="module")
 def verify_figures():
-    """One run of `stages.py verify`, shared by the stage and the CLI checks."""
+    """One run of `stages.py verify`, shared by the stage and the CLI checks;
+    with PYTHONPATH unset, the script finds tkchar in its own tree."""
     comment = "# verify (m, n) = (12, 18), N = 300, seed 4, 94 arcs, median of 1 rounds"
-    return run_stages(comment, "verify", "-m", "12", "-n", "18", "-N", "300", "--seed", "4")
+    return run_stages(
+        comment, "verify", "-m", "12", "-n", "18", "-N", "300", "--seed", "4", pythonpath=False
+    )
 
 
 def test_oracle_stages(verify_figures):
     assert list(verify_figures) == [
-        "scalar stream", "replica", "slow indices", "scalar completion", "builders", "kernel",
+        "stream", "builders", "kernel",
         "array tally", "writer", "json bytes", "workers", "empirical_structure",
         "empirical_structure, 1 worker",
         "python -c pass", "import numpy", "import tkchar.cli", "import tkchar.cli, tkchar.verify",
         "cli process", "cli exit", "cli peak RSS MiB",
     ]
-    cfg = VERIFY_CFG
-    fast = stream.replica(cfg.seed, range(300), *_stream_args(cfg))[0]
-    assert verify_figures["slow indices"] == [int((~fast).sum())]
     assert verify_figures["workers"] == [1]  # 300 samples are one chunk
-    check_times(verify_figures, 300, derived=("scalar completion", "array tally"))
+    check_times(verify_figures, 300, derived=("array tally",))
 
 
 def test_verify_scale(verify_figures):

@@ -1,19 +1,17 @@
-"""The stream module against numpy itself: stream.draw, the scalar
-definition of numpy's default_rng((seed, index)) stream, on every branch
-of numpy's routines; the array replica and its seeded states; the
-finished draws and their guards.  numpy's Generator is the external
-reference here; the module never builds one."""
+"""The stream module against numpy itself: stream.draws, the one
+computation of numpy's default_rng((seed, index)) stream, over ranges of
+indices, on every branch of numpy's routines, with its seeded states.
+numpy's Generator is the external reference here; the module never builds
+one."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import tkchar.verify
 from tkchar import stream
 from tkchar.components import GroupParams
-from tkchar.stream import GUARD, _bits
-from tkchar.verify import CHUNK, SampleConfig, _stream_args, empirical_structure, summary_to_json
+from tkchar.verify import CHUNK, SampleConfig, _stream_args
 
 ORDERS = [(7, 4), (2, 3), (4, 6), (30, 45), (2, 202)]
 
@@ -34,44 +32,37 @@ def reference(seed, index, *args):
     return _calls(np.random.default_rng((seed, index)), *args)
 
 
-def replica(cfg, indices):
-    return stream.replica(cfg.seed, indices, *_stream_args(cfg))
+def bits(reducible, j, u, g):
+    """One index's draw with its floats as IEEE bytes, so -0.0 != 0.0."""
+    return bool(reducible), int(j), np.append(u, g).tobytes()
 
 
-def check_replica(cfg, indices):
-    """Every index's seeded state is numpy's PCG64 state, and its scalar
-    draw, its finished draw and, on the replica's fast path, its replicated
-    draw are numpy's draw bit for bit; returns the replica's fast mask."""
-    args = _stream_args(cfg)
-    fast, *arrays, seeded = replica(cfg, indices)
-    finished = stream.draws(cfg.seed, indices, *args)
+def drawn_bits(drawn, pos):
+    """bits of the draw at position pos of stream.draws' arrays."""
+    return bits(*(column[pos] for column in drawn))
+
+
+def check_draws(seed, indices, args):
+    """Every index's seeded state is numpy's PCG64 state, and its draw in
+    stream.draws over indices is numpy's draw bit for bit."""
+    limbs = stream._seeded(seed, indices)
+    drawn = stream.draws(seed, indices, *args)
     for pos, index in enumerate(indices):
-        rng = np.random.default_rng((cfg.seed, index))
-        state_lo, state_hi, inc_lo, inc_hi = seeded[pos].tolist()
-        assert rng.bit_generator.state["state"] == {
-            "state": state_hi << 64 | state_lo,
-            "inc": inc_hi << 64 | inc_lo,
-        }, index
-        want = _bits(*_calls(rng, *args))
-        assert _bits(*stream.draw(cfg.seed, index, *args)) == want, index
-        assert _bits(*(c[pos] for c in finished)) == want, index
-        if fast[pos]:
-            assert _bits(*(c[pos] for c in arrays)) == want, index
-    return fast
+        rng = np.random.default_rng((seed, index))
+        state, inc = (sum(int(limb[pos]) << (32 * i) for i, limb in enumerate(q)) for q in limbs)
+        assert rng.bit_generator.state["state"] == {"state": state, "inc": inc}, index
+        assert drawn_bits(drawn, pos) == bits(*_calls(rng, *args)), index
 
 
 @pytest.mark.parametrize("seed", [0, 1, 8, 424242, 2**31 - 1, 2**32 - 1, 2**32])
 def test_replica_equals_draw(seed):
-    # chunks start at zero and past it
-    slow = 0
+    # draws, the module's replica of numpy's stream, over ranges that
+    # start at zero and past it
     for m, n in ORDERS:
         for fraction in (0.0, 0.25, 1.0):
             cfg = SampleConfig(params=GroupParams(m, n), seed=seed, reducible_fraction=fraction)
             for indices in (range(0, 120), range(777, 897)):
-                fast = check_replica(cfg, indices)
-                assert fast.mean() > 0.8, (m, n, fraction)
-                slow += int((~fast).sum())
-    assert slow > 0
+                check_draws(seed, indices, _stream_args(cfg))
 
 
 def test_both_branches_and_no_integer_draw():
@@ -90,10 +81,10 @@ def test_both_branches_and_no_integer_draw():
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
 def test_indices_across_32_bits(seed):
     # an index of 2**32 or more is two entropy words for numpy, and the
-    # replica always seeds two: its fast path and its seeded states are
-    # numpy's on both sides of 2**32, and with a two-word seed
+    # module always seeds two: its seeded states and draws are numpy's on
+    # both sides of 2**32, and with a two-word seed
     cfg = SampleConfig(params=GroupParams(4, 6), seed=seed)
-    assert check_replica(cfg, range(2**32 - 3, 2**32 + 3)).any()
+    check_draws(seed, range(2**32 - 3, 2**32 + 3), _stream_args(cfg))
 
 
 def pcg64_state(state, inc=1):
@@ -155,42 +146,53 @@ BRANCH_ARGS = [(0.5, 1, 2**31 + 1), (0.5, 2**32, 3 * 2**30), (0.25, 8, 638), (0.
 
 
 def test_draw_is_numpys_on_every_branch():
-    # each index draws with the next of BRANCH_ARGS, on both sides of an
-    # index of 2**32, for one- and two-word seeds
+    # draws over ranges on both sides of an index of 2**32, for one- and
+    # two-word seeds, with each of BRANCH_ARGS: every draw is numpy's, and
+    # the branches numpy takes, read at the indices i with i % 4 the
+    # position of the arguments, cover every branch of its routines
     hits = dict.fromkeys(
         ["K = 1", "K = 4294967296", "retry on the high half", "retry on a fresh output",
          "tail", "wedge accepts", "wedge rejects"], 0
     )
     for seed in (0, 1, 5, 2**32, 2**64 - 1):
-        for index in [*range(800), *range(2**32 - 400, 2**32 + 400)]:
-            args = BRANCH_ARGS[index % len(BRANCH_ARGS)]
-            assert _bits(*stream.draw(seed, index, *args)) == _bits(*reference(seed, index, *args))
-            for branch in numpy_branches(seed, index, *args):
-                hits[branch] += 1
+        for i, args in enumerate(BRANCH_ARGS):
+            for indices in (range(800), range(2**32 - 400, 2**32 + 400)):
+                drawn = stream.draws(seed, indices, *args)
+                for pos, index in enumerate(indices):
+                    assert drawn_bits(drawn, pos) == bits(*reference(seed, index, *args)), index
+                    if index % len(BRANCH_ARGS) == i:
+                        for branch in numpy_branches(seed, index, *args):
+                            hits[branch] += 1
     assert all(hits.values()), hits
 
 
-def test_negative_zero_gaussian():
+def test_negative_zero_gaussian(monkeypatch):
     # a state whose third output is layer 2, sign 1 and magnitude 0: with
     # K = 1 that output is the first normal(), whose ziggurat gives -0.0,
-    # and normal()'s loc + scale * x gives 0.0
+    # and normal()'s loc + scale * x gives 0.0; the state is planted as the
+    # seeded state of a range of one
     inverse = pow(MULT, -1, 1 << 128)
     state = 2 | 1 << 8  # with inc 1, a state below 2**64 is its own output
     for _ in range(3):
         state = (state - 1) * inverse % (1 << 128)
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = pcg64_state(state)
-    drawn = stream._complete(state, 1, 1.0, 1, 1)
-    assert _bits(*drawn) == _bits(*_calls(rng, 1.0, 1, 1))
-    assert drawn[3][0].tobytes() == np.float64(0.0).tobytes()
+
+    def limbs(x):
+        return [np.array([x >> (32 * i) & 0xFFFFFFFF], dtype=np.uint64) for i in range(4)]
+
+    monkeypatch.setattr(stream, "_seeded", lambda seed, indices: (limbs(state), limbs(1)))
+    drawn = stream.draws(0, range(1), 1.0, 1, 1)
+    assert drawn_bits(drawn, 0) == bits(*_calls(rng, 1.0, 1, 1))
+    assert drawn[3][0, 0].tobytes() == np.float64(0.0).tobytes()
 
 
 # A draw of verify's (30, 45) stream whose integers(0, 638) retries on the
 # high half of its output: 2**32 % 638 = 422, so about one irreducible draw
 # in 10**7 retries, about one verify process in 850.  Found by computing the
-# replica's first two outputs (stream._seeded, _step, _output) for indices
-# 0 to 15,999 of seeds 0, 1, 2, ... and taking the first irreducible index
-# whose low half h has h * 638 % 2**32 < 422.
+# first two outputs of the seeded states (stream._seeded, _step, _output)
+# for indices 0 to 15,999 of seeds 0, 1, 2, ... and taking the first
+# irreducible index whose low half h has h * 638 % 2**32 < 422.
 RETRY_638 = (2395, 1809)
 
 
@@ -200,11 +202,10 @@ def test_retry_at_verify_30_45():
     args = _stream_args(cfg)
     assert args == (0.25, 8, 638)
     assert numpy_branches(seed, index, *args) == {"retry on the high half"}
-    want = _bits(*reference(seed, index, *args))
-    assert _bits(*stream.draw(seed, index, *args)) == want
-    # the chunk verify draws it in, completed from its seeded state
-    assert not replica(cfg, range(CHUNK))[0][index]
-    assert _bits(*(c[index] for c in stream.draws(seed, range(CHUNK), *args))) == want
+    want = bits(*reference(seed, index, *args))
+    # alone, and in the chunk verify draws it in
+    assert drawn_bits(stream.draws(seed, range(index, index + 1), *args), 0) == want
+    assert drawn_bits(stream.draws(seed, range(CHUNK), *args), index) == want
 
 
 def ziggurat_tables():
@@ -257,73 +258,4 @@ def test_fi_table_is_numpys():
     wi = stream._WI.tobytes()
     assert data.count(wi) == 1
     at = data.index(wi)
-    assert np.array(stream._FI).tobytes() == data[at - 2048 : at]
-
-
-def test_corrupted_table_raises(monkeypatch):
-    # a guard index is the first fast one of the first block; corrupting the
-    # layers of all its outputs changes its Gaussians, and verify refuses
-    cfg = SampleConfig(params=GroupParams(4, 6), sample_count=300, seed=1)
-    fast = replica(cfg, range(cfg.sample_count))[0]
-    guard = int(np.flatnonzero(fast)[0])
-    raw = np.random.default_rng((cfg.seed, guard)).bit_generator.random_raw(7)
-    wi = stream._WI.copy()
-    wi[raw & 0xFF] *= 1.5
-    monkeypatch.setattr(stream, "_WI", wi)
-    with pytest.raises(RuntimeError, match="default_rng"):
-        empirical_structure(cfg)
-
-
-@pytest.mark.parametrize("kind", ["fast", "slow"])
-def test_guard_checks_every_block(monkeypatch, kind):
-    # within one chunk, the first fast (slow) index of the second GUARD
-    # block is guarded: a wrong value there (a wrong seeded state) makes
-    # verify refuse, as a numpy release that changed the stream would
-    cfg = SampleConfig(params=GroupParams(4, 6), sample_count=2 * GUARD, seed=1)
-    assert cfg.sample_count <= CHUNK
-    fast = replica(cfg, range(cfg.sample_count))[0]
-    block = np.arange(GUARD, 2 * GUARD)
-    target = int(block[fast[block] if kind == "fast" else ~fast[block]][0])
-    real = stream.replica
-
-    def corrupted(*args):
-        fast, reducible, j, u, g, seeded = real(*args)
-        if kind == "fast":
-            u[target] = np.nextafter(u[target], 1.0)
-        else:
-            seeded[target, 0] ^= np.uint64(1)
-        return fast, reducible, j, u, g, seeded
-
-    monkeypatch.setattr(stream, "replica", corrupted)
-    with pytest.raises(RuntimeError, match="default_rng"):
-        empirical_structure(cfg)
-
-
-def test_fallback_alone_gives_the_same_bytes(monkeypatch):
-    # a zero ki table refuses every fast path: all of it drawn from the
-    # replica's seeded states
-    cfg = SampleConfig(params=GroupParams(12, 18), sample_count=600, seed=4)
-    want = summary_to_json(empirical_structure(cfg))
-    monkeypatch.setattr(stream, "_KI", np.zeros(256, dtype=np.uint64))
-    assert not replica(cfg, range(cfg.sample_count))[0].any()
-    assert summary_to_json(empirical_structure(cfg)) == want
-
-
-@pytest.mark.parametrize("m, n", [(4, 6), (30, 45)])
-def test_draw_calls_bounded(monkeypatch, m, n):
-    # stream.draw covers only the guards: the first fast and the first slow
-    # index of each GUARD block.  The count sees this process alone, so one
-    # worker: with two, a worker's calls would go uncounted
-    monkeypatch.setattr(tkchar.verify, "_cpus", lambda: 1)
-    calls = []
-    real = stream.draw
-
-    def counted(seed, index, *args):
-        calls.append(index)
-        return real(seed, index, *args)
-
-    monkeypatch.setattr(stream, "draw", counted)
-    count = 20_000
-    empirical_structure(SampleConfig(params=GroupParams(m, n), sample_count=count, seed=1))
-    blocks = -(-count // GUARD)
-    assert blocks <= len(calls) <= 2 * blocks
+    assert stream._FI.tobytes() == data[at - 2048 : at]

@@ -585,11 +585,10 @@ def draw_arrays(cfg: SampleConfig, indices: range):
     return stream.draws(cfg.seed, indices, *_stream_args(cfg))
 
 
-def reference_pair(cfg: SampleConfig, comps, index: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
-    """The index-th sample built by the scalar builders from stream.draw, comps
-    being enumerate_irr(cfg.params)."""
-    p = cfg.params
-    reducible, j, u, g = stream.draw(cfg.seed, index, *_stream_args(cfg))
+def reference_pair(p: GroupParams, comps, draw) -> tuple[UnitaryMatrix, UnitaryMatrix]:
+    """The sample of one draw (reducible, j, u, g) of stream.draws, built by
+    the scalar builders on Python numbers, comps being enumerate_irr(p)."""
+    reducible, j, u, g = bool(draw[0]), int(draw[1]), float(draw[2]), draw[3].tolist()
     if reducible:
         a, b = build_red_noncoprime(p, j, cmath.exp(1j * (2.0 * math.pi * u)))
     else:
@@ -615,9 +614,11 @@ class TestBatchedOracle:
         comps = enumerate_irr(cfg.params)
         for start in range(0, cfg.sample_count, CHUNK):
             indices = range(start, min(start + CHUNK, cfg.sample_count))
-            batch = [matrices(q) for q in _build_arrays(cfg.params, *draw_arrays(cfg, indices))]
+            drawn = draw_arrays(cfg, indices)
+            batch = [matrices(q) for q in _build_arrays(cfg.params, *drawn)]
             for pos, index in enumerate(indices):
-                want = [quaternion_bits(x) for x in reference_pair(cfg, comps, index)]
+                draw = [column[pos] for column in drawn]
+                want = [quaternion_bits(x) for x in reference_pair(cfg.params, comps, draw)]
                 assert [quaternion_bits(q[pos]) for q in batch] == want, index
                 if index % 10 == 0:
                     assert [quaternion_bits(x) for x in sample_pair(cfg, index)] == want, index
@@ -824,32 +825,13 @@ class TestWorkers:
 
         monkeypatch.setattr(tkchar.verify, "_build_arrays", failing)
 
-    def corrupt_guard(self, monkeypatch):
-        """A replica that differs from draw() at a guarded index of the last run."""
-        cfg = SampleConfig(params=GroupParams(4, 6), sample_count=self.COUNT, seed=1)
-        last = range(5 * CHUNK, self.COUNT)
-        fast = stream.replica(cfg.seed, last, *_stream_args(cfg))[0]
-        target = last[int(np.flatnonzero(fast)[0])]
-        real = stream.replica
-
-        def corrupted(seed, indices, *args):
-            fast, reducible, j, u, g, seeded = real(seed, indices, *args)
-            if target in indices:
-                u[target - indices.start] = np.nextafter(u[target - indices.start], 1.0)
-            return fast, reducible, j, u, g, seeded
-
-        monkeypatch.setattr(stream, "replica", corrupted)
-
     @pytest.mark.parametrize(
         "error",
-        [ValueError("zero-norm quaternion"), MemoryError(), "guard"],
-        ids=["ValueError", "MemoryError", "guard"],
+        [ValueError("zero-norm quaternion"), MemoryError(), RuntimeError("internal fault")],
+        ids=["ValueError", "MemoryError", "RuntimeError"],
     )
     def test_worker_error_raised_here(self, monkeypatch, capfd, error):
-        if error == "guard":
-            self.corrupt_guard(monkeypatch)
-        else:
-            self.failing_builder(monkeypatch, error)
+        self.failing_builder(monkeypatch, error)
         cfg = SampleConfig(params=GroupParams(4, 6), sample_count=self.COUNT, seed=1)
         raised = []
         for cpus in (1, 2, 3):
@@ -859,10 +841,7 @@ class TestWorkers:
             raised.append((type(exc.value), str(exc.value)))
             assert_no_child()
         assert raised[1] == raised[0] and raised[2] == raised[0]
-        if error == "guard":
-            assert raised[0][0] is RuntimeError and "default_rng" in raised[0][1]
-        else:
-            assert raised[0] == (type(error), str(error))
+        assert raised[0] == (type(error), str(error))
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("error", [ValueError("zero-norm quaternion"), MemoryError()])
@@ -885,14 +864,14 @@ class TestWorkers:
         # usage error (2): its traceback goes to stderr, and nothing to stdout
         from tkchar.cli import main
 
-        self.corrupt_guard(monkeypatch)
+        self.failing_builder(monkeypatch, RuntimeError("internal fault"))
         argv = ["verify", "-m", "4", "-n", "6", "-N", str(self.COUNT), "--seed", "1"]
         for cpus in (1, 2):
             use_cpus(monkeypatch, cpus)
             code = main(argv)
             out, err = capfd.readouterr()
             assert (code, out) == (3, "")
-            assert "Traceback" in err and "RuntimeError" in err and "default_rng" in err
+            assert "Traceback" in err and "RuntimeError: internal fault" in err
             assert_no_child()
 
     def test_worker_without_result(self, monkeypatch):
