@@ -3,15 +3,20 @@
 Writes graph-mN.json, graph-mN.dot, and graph-mN.svg into the output
 directory, plus a short text summary of nodes and arcs to stdout.
 
+The script imports tkchar from the src/ directory of its own tree.
+
 Usage:
     python3 scripts/render_figures.py -m 6 -n 9 -o figures/
 """
 
 import argparse
 import pathlib
+import sys
 
-from tkchar.components import GroupParams
-from tkchar.graph import build_graph, to_dot, to_json, to_svg_schematic
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from tkchar.components import GroupParams  # noqa: E402
+from tkchar.graph import build_graph, to_dot, to_json, to_svg_schematic  # noqa: E402
 
 
 def main() -> None:

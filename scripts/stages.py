@@ -3,16 +3,18 @@
 graph mode: build_graph, the exact incidence graph, in this process; then
 the writer and json bytes (below).
 
-verify mode, each stage over all verify.CHUNK-sized batches:
+verify mode, each stage over all verify.CHUNK-sized batches, timed by
+wrappers around its function inside one `empirical_structure` run with one
+worker, so every row below comes from that one run:
 
 - stream: `stream.draws`, the draws of numpy's default_rng((seed, index))
   as arrays;
 - builders: `_build_arrays` on the draws;
 - kernel: `_classify_arrays` on the builders' pairs;
-- array tally: `empirical_structure` with one worker minus stream,
-  builders and kernel, i.e. the expected arc ends
-  (`components.attachment_nodes` over the cached label table), the count,
-  maximum and vote arrays and each arc end's winner (derived);
+- array tally: the run minus stream, builders and kernel, i.e. the
+  expected arc ends (`components.attachment_nodes` over the cached label
+  table), the count, maximum and vote arrays and each arc end's winner
+  (derived, and >= 0, as the three are spans of the run);
 - writer and json bytes (below);
 - workers: W, the runs `empirical_structure` splits its chunks into
   (`verify._runs`: one per CPU of this process's affinity, at most one per
@@ -55,6 +57,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -62,6 +65,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 sys.path.insert(0, SRC)
@@ -69,16 +73,7 @@ sys.path.insert(0, SRC)
 from tkchar import stream, verify  # noqa: E402
 from tkchar.components import GroupParams, count_irr  # noqa: E402
 from tkchar.graph import build_graph, json_chunks  # noqa: E402
-from tkchar.verify import (  # noqa: E402
-    CHUNK,
-    SampleConfig,
-    _build_arrays,
-    _classify_arrays,
-    _runs,
-    _stream_args,
-    empirical_structure,
-    summary_chunks,
-)
+from tkchar.verify import SampleConfig, _runs, empirical_structure, summary_chunks  # noqa: E402
 
 # figures that are not seconds, with their format; they have no per-item column
 COUNTS = {"json bytes": "{:.0f}", "workers": "{:.0f}", "cli exit": "{:.0f}",
@@ -131,32 +126,45 @@ def graph_stages(p: GroupParams) -> dict[str, float]:
     return t
 
 
-def one_worker(cfg: SampleConfig):
-    """empirical_structure with its chunks in one run, in this process."""
-    cpus = verify._cpus
-    verify._cpus = lambda: 1
-    try:
-        return empirical_structure(cfg)
-    finally:
-        verify._cpus = cpus
+# the verify stages: the module attribute each one's function is called through
+STAGES = {
+    "stream": (stream, "draws"),
+    "builders": (verify, "_build_arrays"),
+    "kernel": (verify, "_classify_arrays"),
+}
+
+
+def spanned(f, spans: dict[str, int], stage: str):
+    """f, adding the nanoseconds of each call to spans[stage]."""
+
+    def call(*args):
+        start = time.perf_counter_ns()
+        try:
+            return f(*args)
+        finally:
+            spans[stage] += time.perf_counter_ns() - start
+
+    return call
 
 
 def verify_stages(cfg: SampleConfig) -> dict[str, float]:
-    p, count = cfg.params, cfg.sample_count
-    chunks = [range(s, min(s + CHUNK, count)) for s in range(0, count, CHUNK)]
-    seed, args = cfg.seed, _stream_args(cfg)
-    t = {}
-    t["stream"], draws = timed(lambda: [stream.draws(seed, c, *args) for c in chunks])
-    t["builders"], pairs = timed(lambda: [_build_arrays(p, *d) for d in draws])
-    t["kernel"] = timed(lambda: [_classify_arrays(p, a, b, cfg.tol) for a, b in pairs])[0]
-    serial = timed(one_worker, cfg)[0]
-    staged = ("stream", "builders", "kernel")
-    t["array tally"] = serial - sum(t[s] for s in staged)
+    spans = dict.fromkeys(STAGES, 0)
+    with contextlib.ExitStack() as stack:
+        # the chunks in one run, in this process, each stage's calls timed
+        stack.enter_context(mock.patch.object(verify, "_cpus", lambda: 1))
+        for stage, (module, name) in STAGES.items():
+            call = spanned(getattr(module, name), spans, stage)
+            stack.enter_context(mock.patch.object(module, name, call))
+        start = time.perf_counter_ns()
+        empirical_structure(cfg)
+        serial = time.perf_counter_ns() - start
+    t = {stage: ns / 1e9 for stage, ns in spans.items()}
+    t["array tally"] = (serial - sum(spans.values())) / 1e9
     total, summary = timed(empirical_structure, cfg)
     t["writer"], t["json bytes"] = timed(drain, summary_chunks(summary))
-    t["workers"] = len(_runs(count))
+    t["workers"] = len(_runs(cfg.sample_count))
     t["empirical_structure"] = total
-    t["empirical_structure, 1 worker"] = serial
+    t["empirical_structure, 1 worker"] = serial / 1e9
     return t
 
 

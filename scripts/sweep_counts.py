@@ -4,13 +4,25 @@ For each (m, n) prints the number of reducible components (one per
 folded gcd index) and the number of irreducible arcs, and checks the
 closed form against direct enumeration.
 
+The script imports tkchar from the src/ directory of its own tree.
+
 Usage:
     python3 scripts/sweep_counts.py --max 12
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from tkchar.components import GroupParams, count_irr, enumerate_irr, enumerate_red, self_loops
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tkchar.components import (  # noqa: E402
+    GroupParams,
+    count_irr,
+    enumerate_irr,
+    enumerate_red,
+    self_loops,
+)
 
 
 def main() -> None:

@@ -23,6 +23,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable
+from contextlib import nullcontext
 
 
 def _to_devnull(stream) -> None:
@@ -50,21 +51,16 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
     Each chunk is one write (one system call on an unbuffered stdout), so
     callers pass whole documents or large chunks, never a line at a time.
     A stdout or out that cannot be written raises ValueError."""
-    if out is None:
-        try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.write("\n")
-            sys.stdout.flush()  # a document smaller than the buffer fails only here
-        except OSError as exc:
-            _to_devnull(sys.stdout)
-            raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
-        return
     try:
-        with open(out, "w", encoding="utf-8") as f:
+        with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as f:
             f.writelines(chunks)
             f.write("\n")
+            f.flush()  # a document smaller than the buffer fails only here
     except OSError as exc:
-        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        if out is None:
+            _to_devnull(sys.stdout)
+        target = "stdout" if out is None else out
+        raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
 def _fmt_complex(z: complex) -> str:

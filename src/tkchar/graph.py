@@ -61,6 +61,7 @@ from .components import (
     self_paired,
 )
 from .roots import RootOfUnity
+from .su2 import _per_element
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,7 +223,7 @@ def build_graph(p: GroupParams) -> IncidenceGraph:
     # RootOfUnity(num, den).angle's operations in its order, then math.cos
     # per element, so s_real is bit-identical to the scalar definition
     x = np.pi * num / den - rule.psi[node]
-    s_real = 2.0 * np.fromiter(map(math.cos, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    s_real = 2.0 * _per_element(math.cos, x.ravel()).reshape(x.shape)
     arrays = (k, kp, raw, c_raw, node, num, den, s_real)
     for a in arrays:
         a.flags.writeable = False
@@ -231,8 +232,6 @@ def build_graph(p: GroupParams) -> IncidenceGraph:
 
 def is_connected(g: IncidenceGraph) -> bool:
     """Whether every node is reachable from Red(0) through arcs."""
-    if not g.nodes:
-        return True
     adjacency: dict[int, set[int]] = {info.id.i: set() for info in g.nodes}
     for n0, n1 in g.node.tolist():
         adjacency[n0].add(n1)

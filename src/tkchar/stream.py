@@ -37,6 +37,8 @@ import math
 
 import numpy as np
 
+from .su2 import _per_element
+
 MASK32 = 0xFFFFFFFF
 
 # the seeds and the K of integers(0, K) that the stream covers
@@ -319,8 +321,8 @@ def _mix(x, y):
 def _state_words(entropy: list) -> list:
     """SeedSequence(entropy).generate_state(4, np.uint64) as eight uint32
     words, the low half of each uint64 first, for at most four entropy
-    words (ints, or uint64 arrays of one word per index): the pool is the
-    words padded with zeros."""
+    words (uint64 arrays of one word per index): the pool is the words
+    padded with zeros."""
     constants = _hash_constants(_INIT_A, _MULT_A)
     padded = entropy + [entropy[0] * 0] * (_POOL_SIZE - len(entropy))
     pool = [_hashmix(word, constants) for word in padded]
@@ -340,7 +342,7 @@ def _seed_words(seed: int) -> list[int]:
 
 def _carry(columns: list) -> list:
     """32-bit limbs, mod 2**128, of a number given as column sums below 2**63
-    (ints, or uint64 arrays of one number per index)."""
+    (uint64 arrays of one number per index)."""
     limbs, carry = [], 0
     for column in columns:
         column = column + carry
@@ -389,11 +391,6 @@ def _seeded(seed: int, indices: range) -> tuple[list[np.ndarray], list[np.ndarra
     w = _state_words(words + [index & MASK32, index >> 32])
     inc = _carry([2 * w[6] + 1, 2 * w[7], 2 * w[4], 2 * w[5]])
     return _step(_carry([x + y for x, y in zip(inc, (w[2], w[3], w[0], w[1]))]), inc), inc
-
-
-def _per_element(f, *columns: np.ndarray) -> np.ndarray:
-    """f over Python floats of float64 arrays, element by element."""
-    return np.array(list(map(f, *(c.tolist() for c in columns))), dtype=float)
 
 
 class _Generators:

@@ -18,7 +18,10 @@ t = |b|**2.
 
 _qmul_arrays, _qpow_arrays and _sup_diff_arrays are _qmul, mat_pow and
 sup_diff over float64 arrays of many elements, equal to them bit for bit;
-the batched verify kernel runs on them.
+the batched verify kernel runs on them.  _per_element applies a math
+function to such arrays one Python float at a time, for the functions
+(atan2, cos, exp, 3-argument hypot) whose numpy ufuncs round differently;
+verify, stream and graph call it.
 """
 
 from __future__ import annotations
@@ -172,14 +175,7 @@ def _qmul_arrays(x: QuaternionArrays, y: QuaternionArrays) -> QuaternionArrays:
 
 
 def _qpow_arrays(x: QuaternionArrays, k: int) -> QuaternionArrays:
-    """mat_pow's binary ladder for k >= 0 over quaternion arrays.
-
-    A single element runs the ladder on its float64 scalars: the same
-    operations, without numpy's fixed cost per array call, about 30 calls
-    per product (a batch of one, as verify.classify runs it)."""
-    single = x[0].size == 1
-    if single:
-        x = tuple(c[0] for c in x)
+    """mat_pow's binary ladder for k >= 0 over quaternion arrays."""
     zero = np.zeros_like(x[0])
     r = (np.ones_like(x[0]), zero, zero, zero)
     while k:
@@ -188,7 +184,12 @@ def _qpow_arrays(x: QuaternionArrays, k: int) -> QuaternionArrays:
         k >>= 1
         if k:
             x = _qmul_arrays(x, x)
-    return tuple(np.reshape(c, 1) for c in r) if single else r
+    return r
+
+
+def _per_element(f, *columns: np.ndarray) -> np.ndarray:
+    """f over Python floats of float64 arrays, element by element."""
+    return np.fromiter(map(f, *(c.tolist() for c in columns)), float, columns[0].size)
 
 
 def _sup_diff_arrays(x: QuaternionArrays, y: QuaternionArrays) -> np.ndarray:

@@ -94,11 +94,11 @@ from . import graph, stream
 from .graph import _endpoint_rule, _json_block, _sig12
 from .reps import _alpha_conj, character
 from .roots import root
-from .stream import _per_element
 from .su2 import (
     DEFAULT_TOL,
     QuaternionArrays,
     UnitaryMatrix,
+    _per_element,
     _qmul_arrays,
     _qpow_arrays,
     _sup_diff_arrays,
@@ -617,8 +617,6 @@ def _fork_map(f, items: list) -> list:
     is raised here with its type and message.  On any exception, here or
     in a worker, the workers still running are killed, and every worker is
     reaped before this returns or raises."""
-    if len(items) == 1:
-        return [f(items[0])]
     pids: list[int] = []  # the workers not yet reaped
     fds: list[int] = []  # the read ends of their pipes
     try:
@@ -704,32 +702,23 @@ def empirical_structure(cfg: SampleConfig) -> Summary:
     k, kp = _irr_tables(p)[:2]
     _, expected = attachment_nodes(p, k, kp)
     k.flags.writeable = kp.flags.writeable = expected.flags.writeable = False
-    nodes = p.d // 2 + 1
-    red_counts = np.zeros(nodes, dtype=np.int64)
+    parts = _fork_map(functools.partial(_tally, cfg, len(k)), _runs(cfg.sample_count))
     irr_counts = np.zeros(len(k), dtype=np.int64)
-    empty = np.zeros(0, dtype=np.int64)
-    votes = (empty, empty, empty)
-    max_relation = max_classification = 0.0
-    decode_errors = 0
-
-    for part in _fork_map(functools.partial(_tally, cfg, len(k)), _runs(cfg.sample_count)):
-        red_counts += part.red_counts
+    for part in parts:
         irr_counts[part.arcs] += part.arc_counts
-        # np.maximum, not max(): a NaN carries through, as in the running maximum
-        max_relation = np.maximum(max_relation, part.max_relation)
-        max_classification = np.maximum(max_classification, part.max_classification)
-        decode_errors += part.decode_errors
-        votes = _add_votes(votes, part.votes)
-
-    cell, first, count = votes
-    group, node = np.divmod(cell, nodes)
+    # np.maximum, not max(): a NaN carries through, as in the running maximum
+    max_relation = functools.reduce(np.maximum, (part.max_relation for part in parts))
+    max_classification = functools.reduce(np.maximum, (part.max_classification for part in parts))
+    cell, first, count = functools.reduce(_add_votes, (part.votes for part in parts))
+    group, node = np.divmod(cell, p.d // 2 + 1)
     lead = _leaders(group, count, first)
     arc, side = np.divmod(group[lead], 2)
     arc_ok = np.ones(len(k), dtype=bool)
     arc_ok[arc[node[lead] != expected[arc, side]]] = False
     return Summary(
-        cfg, k, kp, expected, red_counts, irr_counts, float(max_relation),
-        float(max_classification), decode_errors, group, node, count, arc_ok,
+        cfg, k, kp, expected, sum(part.red_counts for part in parts), irr_counts,
+        float(max_relation), float(max_classification),
+        sum(part.decode_errors for part in parts), group, node, count, arc_ok,
     )
 
 

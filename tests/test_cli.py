@@ -451,6 +451,10 @@ class TestPlumbing:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write") and str(target) in err
         assert not target.exists()
+        # an empty -o names no file; it is not stdout
+        code, out, err = run(capsys, *argv, "-o", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write")
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
     @pytest.mark.parametrize(
